@@ -2,8 +2,9 @@
 
 Runs the same small ``protocol-sweep`` through the real CLI four ways —
 fault-free, under a recoverable chaos pattern (crashes + transients),
-under persistent poison, and interrupted-then-resumed from its journal —
-and asserts the supervision acceptance contract:
+under persistent poison, and re-run against its own result cache (how
+an interrupted campaign resumes) — and asserts the supervision
+acceptance contract:
 
 * the chaos-supervised record is **bit-identical** to the fault-free
   record outside its ``supervision`` tally (retried attempts replay the
@@ -11,9 +12,10 @@ and asserts the supervision acceptance contract:
 * persistent poison exits 0 with the afflicted task quarantined in a
   failure manifest (written under ``benchmarks/results/``), never a
   crashed campaign or a silent gap;
-* a ``--resume`` rerun against a completed journal dispatches **zero**
-  protocol tasks (checked by poisoning the task runner) and reproduces
-  the original record bit-identically.
+* re-running the same command against the same ``--cache-dir``
+  dispatches **zero** protocol tasks (checked by poisoning the task
+  runner) and reproduces the original record bit-identically outside
+  its cache tally.
 
 The JSON record persists under
 ``benchmarks/results/bench_supervision.json``; ``--smoke`` scales the
@@ -71,7 +73,7 @@ def _sweep(argv_tail: list[str]) -> float:
 
 
 def _poisoned_task_runner(task):
-    raise AssertionError("journal resume must not dispatch protocol tasks")
+    raise AssertionError("cache resume must not dispatch protocol tasks")
 
 
 def bench_supervision(
@@ -82,7 +84,7 @@ def bench_supervision(
         name: tmp_path / f"{name}.json"
         for name in ("clean", "chaos", "poison", "first", "resumed")
     }
-    common = [
+    base = [
         "--trials",
         str(trials),
         "--max-steps",
@@ -91,8 +93,8 @@ def bench_supervision(
         str(SEED),
         "--workers",
         "1",
-        "--no-cache",
     ]
+    common = [*base, "--no-cache"]
 
     clean_s = _sweep([*common, "--output", str(records["clean"])])
 
@@ -153,10 +155,10 @@ def bench_supervision(
     lost_runs = sum(len(f["seeds"]) for f in manifest["failures"])
     assert poisoned["total_runs"] == clean["total_runs"] - lost_runs
 
-    # Journal + resume: the rerun replays entirely from the journal.
-    journal_path = tmp_path / "campaign.jsonl"
-    journal = [*common, "--journal", str(journal_path)]
-    _sweep([*journal, "--output", str(records["first"])])
+    # Cache resume: the same command against the same cache replays
+    # every grid point from disk.
+    cached = [*base, "--cache-dir", str(tmp_path / "campaign-cache")]
+    _sweep([*cached, "--output", str(records["first"])])
     originals = (
         campaign_module.run_protocol_task,
         experiment_module.run_protocol_task,
@@ -164,15 +166,14 @@ def bench_supervision(
     campaign_module.run_protocol_task = _poisoned_task_runner
     experiment_module.run_protocol_task = _poisoned_task_runner
     try:
-        resume_s = _sweep(
-            [*journal, "--resume", "--output", str(records["resumed"])]
-        )
+        resume_s = _sweep([*cached, "--output", str(records["resumed"])])
     finally:
         campaign_module.run_protocol_task = originals[0]
         experiment_module.run_protocol_task = originals[1]
     first = json.loads(records["first"].read_text())
     resumed = json.loads(records["resumed"].read_text())
-    compare_records(first, resumed)
+    assert resumed["cache"] == {"hits": GRID_POINTS, "misses": 0}
+    compare_records(first, resumed, ignore=("wall_seconds", "cache"))
 
     table = render_table(
         ["leg", "faults injected", "retries", "quarantined", "seconds"],
@@ -192,7 +193,7 @@ def bench_supervision(
                 str(manifest["quarantined"]),
                 "-",
             ],
-            ["journal resume", "0", "0", "0", f"{resume_s:.2f}"],
+            ["cache resume", "0", "0", "0", f"{resume_s:.2f}"],
         ],
         title=(
             f"Supervised campaign under chaos ({trials} seeds/point, "

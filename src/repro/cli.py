@@ -178,19 +178,6 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         "deterministic harness for exercising the supervision paths",
     )
     group.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="crash-safe journal of completed task batches (enables "
-        "--resume after a kill)",
-    )
-    group.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the --journal (and result cache) and dispatch only "
-        "missing work",
-    )
-    group.add_argument(
         "--failure-manifest",
         default=None,
         metavar="PATH",
@@ -203,12 +190,8 @@ def _resolve_supervision(
 ) -> tuple[Optional[SupervisionPolicy], Optional[ChaosSpec]]:
     """Build the supervision policy + chaos spec the flags imply.
 
-    Any fault-tolerance flag (other than the journal, which works
-    unsupervised) turns supervision on; ``--resume`` requires
-    ``--journal``.
+    Any fault-tolerance flag turns supervision on.
     """
-    if args.resume and args.journal is None:
-        raise ReproError("--resume needs --journal PATH to replay")
     chaos = ChaosSpec.parse(args.chaos) if args.chaos is not None else None
     wants = (
         args.supervise
@@ -293,7 +276,7 @@ def _emit_metrics(result: CampaignResult, args: argparse.Namespace):
     return snapshot
 
 
-def _report_interrupt(exc: CampaignInterrupted, args: argparse.Namespace) -> int:
+def _report_interrupt(exc: CampaignInterrupted, cache: Optional[ResultCache]) -> int:
     """Standard exit path for an interrupted campaign (exit code 130)."""
     partial = exc.partial
     print(f"\ninterrupted: {exc}", file=sys.stderr)
@@ -302,11 +285,11 @@ def _report_interrupt(exc: CampaignInterrupted, args: argparse.Namespace) -> int
             f"{len(partial)} grid points completed before the interrupt",
             file=sys.stderr,
         )
-    if getattr(args, "journal", None) is not None:
-        print(
-            "re-run with --resume to dispatch only the missing work",
-            file=sys.stderr,
-        )
+    if cache is not None:
+        hint = "re-run the same command with the same --cache-dir to resume"
+    else:
+        hint = "--no-cache: nothing was kept, so a re-run starts over"
+    print(hint, file=sys.stderr)
     return 130
 
 
@@ -548,13 +531,11 @@ def cmd_protocol_sweep(args: argparse.Namespace) -> int:
             estimator=args.estimator,
             supervision=supervision,
             chaos=chaos,
-            journal_path=args.journal,
-            resume=args.resume,
             manifest_path=args.failure_manifest,
             progress=_telemetry_progress(args, "protocol-sweep"),
         )
     except CampaignInterrupted as exc:
-        return _report_interrupt(exc, args)
+        return _report_interrupt(exc, cache)
     finally:
         if args.trace_out is not None:
             disable_tracing()
@@ -641,13 +622,11 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             estimator=args.estimator,
             supervision=supervision,
             chaos=chaos,
-            journal_path=args.journal,
-            resume=args.resume,
             manifest_path=args.failure_manifest,
             progress=_telemetry_progress(args, scenario.name),
         )
     except CampaignInterrupted as exc:
-        return _report_interrupt(exc, args)
+        return _report_interrupt(exc, cache)
     finally:
         if args.trace_out is not None:
             disable_tracing()

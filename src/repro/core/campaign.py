@@ -20,7 +20,6 @@ censoring rules that guard it).
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -28,16 +27,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cache import ResultCache
-from ..cache.keys import ENGINE_VERSION, cache_key
 from ..errors import ConfigurationError, ReproError
 from ..randomization.obfuscation import Scheme
-from ..supervision.journal import CampaignJournal, deliver_sigterm_as_interrupt
-from ..supervision.policy import (
-    FailureManifest,
-    Quarantined,
-    SupervisionPolicy,
-    TaskFailure,
-)
+from ..supervision.policy import Quarantined, SupervisionPolicy, TaskFailure
+from ..supervision.signals import deliver_sigterm_as_interrupt
 from ..telemetry.registry import MetricsRegistry, MetricsSnapshot, fold_run_metrics
 from ..telemetry.spans import span
 from .experiment import (
@@ -51,7 +44,6 @@ from .experiment import (
     _cache_fetch,
     _outcome_block_payload,
     _outcome_payload,
-    _outcomes_from_payload,
     estimate_protocol_lifetime,
     run_protocol_task,
 )
@@ -59,6 +51,7 @@ from .specs import SystemClass, SystemSpec
 from .timing import TimingSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..mc.executor import TaskExecutor
     from ..rare.splitting import SplittingConfig
     from ..scenarios.spec import ScenarioSpec
     from ..supervision.chaos import ChaosSpec
@@ -90,8 +83,6 @@ class CampaignResult:
     failures: tuple[TaskFailure, ...] = ()
     retries: int = 0
     timeouts: int = 0
-    journal_replayed: int = 0
-    journal_appended: int = 0
 
     def __len__(self) -> int:
         return len(self.estimates)
@@ -126,7 +117,7 @@ class CampaignResult:
         """Fold the whole campaign into one frozen metrics snapshot.
 
         Computed on demand from the retained per-run samples plus the
-        cache / journal / supervision / rare-event tallies the result
+        cache / supervision / rare-event tallies the result
         already carries.  Counter totals are fan-out-invariant: per-run
         samples merge by addition, so the same campaign snapshotted
         under any worker count, batch size or dispatch order reports
@@ -147,8 +138,6 @@ class CampaignResult:
         if self.cache_hits is not None:
             counters("cache_hits").inc(self.cache_hits)
             counters("cache_misses").inc(self.cache_misses or 0)
-        counters("journal_replayed").inc(self.journal_replayed)
-        counters("journal_appended").inc(self.journal_appended)
         if self.supervised:
             counters("supervision_retries").inc(self.retries)
             counters("supervision_timeouts").inc(self.timeouts)
@@ -179,9 +168,9 @@ class CampaignInterrupted(ReproError):
     """A campaign was interrupted (Ctrl-C / SIGTERM) after partial work.
 
     Carries the partial :class:`CampaignResult` built from every grid
-    point that had fully completed at the moment of interruption —
-    already flushed to the journal and result cache, so a ``--resume``
-    run dispatches none of it again.
+    point that had fully completed at the moment of interruption.  With
+    a result cache those points are already stored, so re-running the
+    same campaign against the same cache dispatches none of them again.
     """
 
     def __init__(self, message: str, partial: CampaignResult) -> None:
@@ -323,53 +312,37 @@ def campaign_grid(
     return specs
 
 
-def _task_key(task: ProtocolTask, cache: Optional[ResultCache]) -> str:
-    """Content-addressed key of one task's outcome block.
-
-    The same payload the result cache would key the whole point block
-    with, but per task batch — journal entries are therefore
-    self-validating: resuming against a changed config (different spec,
-    seeds, steps, scenario or engine version) simply finds no matching
-    keys and re-runs everything.
-    """
-    payload = _outcome_block_payload(
-        task.spec,
-        list(task.seeds),
-        task.max_steps,
-        dict(task.build_kwargs),
-        task.scenario,
-    )
-    if cache is not None:
-        return cache.key_for(payload)
-    payload["engine_version"] = ENGINE_VERSION
-    return cache_key(payload)
-
-
-def _supervised_executor(
+def _campaign_executor(
     workers: int | None,
     supervision: Optional[SupervisionPolicy],
     chaos: "ChaosSpec | None",
-):
-    """A :class:`TaskExecutor` whose backend chain is supervised.
+) -> "TaskExecutor":
+    """The campaign's executor, supervised when a policy or chaos is set.
 
-    Backend stack (inside out): the plain local backend for the worker
-    count, a :class:`~repro.supervision.ChaosBackend` when a fault spec
-    is injected, and the :class:`~repro.supervision.SupervisedBackend`
-    on top.  Returns ``(executor, manifest)`` — the manifest accumulates
-    across every map round of the campaign.
+    A chaos spec wraps the plain backend for the worker count in a
+    :class:`~repro.supervision.ChaosBackend`; the executor's
+    :attr:`~repro.mc.executor.TaskExecutor.manifest` accumulates across
+    every round of the campaign.
     """
     from ..mc.executor import TaskExecutor, backend_for, resolve_workers
-    from ..supervision.backend import SupervisedBackend
-    from ..supervision.chaos import ChaosBackend
 
     resolved = resolve_workers(workers)
-    inner = backend_for(resolved)
+    if supervision is None and chaos is None:
+        return TaskExecutor(resolved)
+    backend = backend_for(resolved)
     if chaos is not None:
-        inner = ChaosBackend(chaos, inner)
-    backend = SupervisedBackend(
-        inner, supervision if supervision is not None else SupervisionPolicy()
-    )
-    return TaskExecutor(resolved, backend=backend), backend.manifest
+        from ..supervision.chaos import ChaosBackend
+
+        backend = ChaosBackend(chaos, backend)
+    policy = supervision if supervision is not None else SupervisionPolicy()
+    return TaskExecutor(resolved, backend=backend, policy=policy)
+
+
+def _kept_note(cache: Optional[ResultCache]) -> str:
+    """What an interrupted campaign left on disk, for its message."""
+    if cache is None:
+        return "nothing was kept on disk"
+    return "completed grid points are in the result cache"
 
 
 def run_campaign(
@@ -390,8 +363,6 @@ def run_campaign(
     splitting: "SplittingConfig | None" = None,
     supervision: Optional[SupervisionPolicy] = None,
     chaos: "ChaosSpec | None" = None,
-    journal_path: Path | str | None = None,
-    resume: bool = False,
     manifest_path: Path | str | None = None,
     progress: "ProgressReporter | None" = None,
     **build_kwargs,
@@ -411,7 +382,10 @@ def run_campaign(
     points skip dispatch entirely — a fully warm fixed-count campaign
     submits zero tasks — and the result reports hit/miss counts.
     Because every seed is derived before dispatch, cached and
-    recomputed campaigns are bit-identical.
+    recomputed campaigns are bit-identical.  The cache is also the
+    campaign's only durable store: a fixed-count grid point is stored
+    the moment its last task lands, so an interrupted or killed campaign
+    resumes when the same call runs again against the same cache.
 
     ``estimator`` selects how censor-heavy grid points are handled (see
     :func:`~repro.core.experiment.estimate_protocol_lifetime`):
@@ -422,25 +396,20 @@ def run_campaign(
     replacement estimate).
 
     ``supervision`` (a :class:`~repro.supervision.SupervisionPolicy`)
-    and/or ``chaos`` (a :class:`~repro.supervision.ChaosSpec`) wrap the
-    executor in a :class:`~repro.supervision.SupervisedBackend`: task
-    failures are retried on a seed-derived backoff schedule, hung tasks
-    time out, and poison tasks are quarantined into the campaign's
-    failure manifest (surfaced as :attr:`CampaignResult.failures` and,
-    with ``manifest_path``, written to disk) instead of killing the
-    campaign.  Because retries replay exact per-task seeds, a supervised
-    campaign under any recoverable fault pattern is bit-identical to the
-    fault-free run; grid points that lose tasks to quarantine estimate
-    from the surviving runs (or are dropped, with a warning, when
-    nothing survives) and are never cache-stored incomplete.
+    and/or ``chaos`` (a :class:`~repro.supervision.ChaosSpec`) supervise
+    the executor: task failures are retried on a seed-derived backoff
+    schedule, hung tasks time out, and poison tasks are quarantined into
+    the campaign's failure manifest (surfaced as
+    :attr:`CampaignResult.failures` and, with ``manifest_path``, written
+    to disk) instead of killing the campaign.  Because retries replay
+    exact per-task seeds, a supervised campaign under any recoverable
+    fault pattern is bit-identical to the fault-free run; grid points
+    that lose tasks to quarantine estimate from the surviving runs (or
+    are dropped, with a warning, when nothing survives) and are never
+    cache-stored.
 
-    ``journal_path`` keeps a crash-safe journal of completed task
-    batches (fixed-count campaigns; precision campaigns already resume
-    per-round through the result cache).  ``resume=True`` replays the
-    journal and dispatches only missing work.  ``KeyboardInterrupt`` and
-    ``SIGTERM`` flush completed grid points to the journal and result
-    cache, then raise :class:`CampaignInterrupted` carrying the partial
-    result.
+    ``KeyboardInterrupt`` and ``SIGTERM`` raise
+    :class:`CampaignInterrupted` carrying the completed grid points.
 
     ``progress`` (a :class:`~repro.telemetry.progress.ProgressReporter`)
     streams live runs-completed / CI-width / censoring / events-per-sec
@@ -461,11 +430,8 @@ def run_campaign(
         )
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    supervising = supervision is not None or chaos is not None
-    manifest: Optional[FailureManifest] = None
-    # Journal replay/append tallies, filled once the journal (created
-    # further down the fixed-count path) has been opened and drained.
-    journal_stats = {"replayed": 0, "appended": 0}
+    executor = _campaign_executor(workers, supervision, chaos)
+    manifest = executor.manifest
 
     def build_result(estimates: list, *, trials_out: int) -> CampaignResult:
         return CampaignResult(
@@ -479,12 +445,10 @@ def run_campaign(
             ),
             estimator=estimator,
             wall_seconds=time.perf_counter() - start,
-            supervised=supervising,
+            supervised=manifest is not None,
             failures=tuple(manifest.failures) if manifest is not None else (),
             retries=manifest.retries if manifest is not None else 0,
             timeouts=manifest.timeouts if manifest is not None else 0,
-            journal_replayed=journal_stats["replayed"],
-            journal_appended=journal_stats["appended"],
         )
 
     def write_manifest() -> None:
@@ -500,27 +464,16 @@ def run_campaign(
             progress.finish()
 
     if precision is not None or estimator == "splitting":
-        if journal_path is not None:
-            warnings.warn(
-                "precision/splitting campaigns resume per round through "
-                "the result cache; journal_path is ignored",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         estimates = []
         # One pool serves every grid point — paying pool startup per
         # point would swamp the parallel speedup on larger grids.
         # (Pure-splitting campaigns stream per point too: each point is
         # one folded estimate, not a flat fan-out of seed batches.)
-        if supervising:
-            shared_cm, manifest = _supervised_executor(workers, supervision, chaos)
-        else:
-            shared_cm = TaskExecutor(workers)
         trials_out = 0 if precision is not None else trials
         if progress is not None:
             progress.begin(None)  # streaming rounds: no fixed run count
         try:
-            with deliver_sigterm_as_interrupt(), shared_cm as shared_executor:
+            with deliver_sigterm_as_interrupt(), executor:
                 for i, spec in enumerate(specs):
                     try:
                         with span("campaign.point", index=i, label=spec.label):
@@ -536,7 +489,7 @@ def run_campaign(
                                 seed_for=lambda j, i=i: derive_point_seed(
                                     seed, i, j
                                 ),
-                                executor=shared_executor,
+                                executor=executor,
                                 scenario=scenario,
                                 cache=cache,
                                 estimator=estimator,
@@ -565,14 +518,11 @@ def run_campaign(
                     estimates.append(estimate)
                     progress_update(estimate.outcomes)
         except KeyboardInterrupt:
-            # Completed grid points are already in the result cache (if
-            # any); report them as a typed partial result.
             progress_finish()
             write_manifest()
             raise CampaignInterrupted(
                 f"campaign interrupted with {len(estimates)} of "
-                f"{len(specs)} grid points complete (completed rounds "
-                "are in the result cache)",
+                f"{len(specs)} grid points complete ({_kept_note(cache)})",
                 build_result(estimates, trials_out=trials_out),
             ) from None
         progress_finish()
@@ -587,11 +537,13 @@ def run_campaign(
     tasks: list[ProtocolTask] = []
     owners: list[int] = []
     per_spec: list[list] = [[] for _ in specs]
-    # Grid points whose seed block missed the cache; stored after the
-    # executor pass.  One entry covers a point's whole seed block, so a
-    # fully warm campaign scores exactly one hit per grid point — and
-    # builds no tasks at all.
+    # Cache keys of the grid points whose seed block missed; each is
+    # stored as soon as its last task lands.  One entry covers a point's
+    # whole seed block, so a fully warm campaign scores exactly one hit
+    # per grid point — and builds no tasks at all.
     point_keys: dict[int, str] = {}
+    # Task indices of each grid point, in seed order.
+    point_tasks: dict[int, range] = {}
     with span("campaign.prepare", grid_points=len(specs), trials=trials):
         for i, spec in enumerate(specs):
             point_seeds = [derive_point_seed(seed, i, j) for j in range(trials)]
@@ -607,6 +559,7 @@ def run_campaign(
                     progress_update(cached)
                     continue
                 point_keys[i] = key
+            first = len(tasks)
             for batch in _batched(point_seeds, batch_size):
                 tasks.append(
                     ProtocolTask(
@@ -618,121 +571,48 @@ def run_campaign(
                     )
                 )
                 owners.append(i)
+            point_tasks[i] = range(first, len(tasks))
 
-    # Crash-safe journal: completed task batches stream in as they land
-    # and a resumed campaign prefills from the surviving entries, so a
-    # kill loses at most the in-flight tasks.
-    journal: Optional[CampaignJournal] = None
-    journal_entries: dict = {}
-    task_keys: list[Optional[str]] = [None] * len(tasks)
-    if journal_path is not None:
-        journal = CampaignJournal(
-            journal_path,
-            meta={
-                "root_seed": seed,
-                "trials": trials,
-                "max_steps": max_steps,
-                "grid_points": len(specs),
-                "engine_version": (
-                    cache.version if cache is not None else ENGINE_VERSION
-                ),
-            },
-        )
-        if not resume:
-            try:
-                os.unlink(journal.path)
-            except OSError:
-                pass
-        journal_entries = journal.open()
-        journal_stats["replayed"] = journal.replayed
-        task_keys = [_task_key(task, cache) for task in tasks]
-
-    # One result slot per task; journal hits prefill theirs and only the
-    # rest dispatch.
+    # Tasks still out per grid point.  A quarantined task never counts
+    # down, so its point is never stored (and reads as incomplete).
+    left = [len(point_tasks.get(i, ())) for i in range(len(specs))]
     task_results: list = [None] * len(tasks)
-    pending: list[int] = []
-    for ti, task in enumerate(tasks):
-        payload = journal_entries.get(task_keys[ti])
-        if payload is not None:
-            try:
-                task_results[ti] = tuple(
-                    _outcomes_from_payload(task.spec, payload, list(task.seeds))
-                )
-                progress_update(task_results[ti])
-                continue
-            except (KeyError, TypeError, ValueError):
-                pass  # mismatched journal entry: re-run the task
-        pending.append(ti)
 
-    if supervising:
-        executor, manifest = _supervised_executor(workers, supervision, chaos)
-    else:
-        executor = TaskExecutor(workers)
-
-    def collect(slot: int, result) -> None:
-        ti = pending[slot]
+    def collect(ti: int, result) -> None:
         task_results[ti] = result
         if isinstance(result, Quarantined):
             return
-        if journal is not None:
-            journal.append(
-                task_keys[ti], [_outcome_payload(o) for o in result]
-            )
         progress_update(result)
+        i = owners[ti]
+        left[i] -= 1
+        if left[i] == 0 and i in point_keys:
+            block = [o for tj in point_tasks[i] for o in task_results[tj]]
+            cache.store(point_keys[i], [_outcome_payload(o) for o in block])
 
     interrupted = False
-    if pending:
+    if tasks:
         try:
             with deliver_sigterm_as_interrupt(), span(
-                "campaign.dispatch", tasks=len(pending)
+                "campaign.dispatch", tasks=len(tasks)
             ):
-                executor.map(
-                    run_protocol_task,
-                    [tasks[ti] for ti in pending],
-                    on_result=collect,
-                )
+                executor.map(run_protocol_task, tasks, on_result=collect)
         except KeyboardInterrupt:
             interrupted = True
-        finally:
-            executor.close()
-            if journal is not None:
-                journal.close()
-                journal_stats["appended"] = journal.appended
-    elif journal is not None:
-        journal.close()
-        journal_stats["appended"] = journal.appended
 
-    # Fold task results back per grid point, in task (= seed) order so
-    # cached blocks keep their seed ordering.
-    incomplete: set[int] = set()
+    # Fold task results back per grid point, in task (= seed) order;
+    # quarantined points keep their surviving runs.
     with span("campaign.fold", tasks=len(task_results)):
         for ti, result in enumerate(task_results):
-            if result is None or isinstance(result, Quarantined):
-                incomplete.add(owners[ti])
-                continue
-            per_spec[owners[ti]].extend(result)
-        if cache is not None:
-            for i, key in point_keys.items():
-                if i in incomplete:
-                    continue  # never cache a block with quarantine holes
-                cache.store(key, [_outcome_payload(o) for o in per_spec[i]])
+            if result is not None and not isinstance(result, Quarantined):
+                per_spec[owners[ti]].extend(result)
 
     if interrupted:
-        complete = [
-            i
-            for i in range(len(specs))
-            if i not in incomplete and per_spec[i]
-        ]
+        complete = [i for i in range(len(specs)) if not left[i]]
         progress_finish()
         write_manifest()
         raise CampaignInterrupted(
             f"campaign interrupted with {len(complete)} of {len(specs)} "
-            "grid points complete"
-            + (
-                " (completed tasks journaled for --resume)"
-                if journal is not None
-                else ""
-            ),
+            f"grid points complete ({_kept_note(cache)})",
             build_result(
                 [_aggregate(specs[i], per_spec[i]) for i in complete],
                 trials_out=trials,
@@ -743,7 +623,7 @@ def run_campaign(
     # the auto re-pass below must not assume estimates align with specs.
     indexed_estimates: list[tuple[int, LifetimeEstimate]] = []
     for i, spec in enumerate(specs):
-        if i in incomplete:
+        if left[i]:
             if per_spec[i]:
                 warnings.warn(
                     f"grid point {i} ({spec.label}) lost quarantined "
@@ -817,8 +697,6 @@ def run_scenario_campaign(
     splitting: "SplittingConfig | None" = None,
     supervision: Optional[SupervisionPolicy] = None,
     chaos: "ChaosSpec | None" = None,
-    journal_path: Path | str | None = None,
-    resume: bool = False,
     manifest_path: Path | str | None = None,
     progress: "ProgressReporter | None" = None,
     **build_kwargs,
@@ -851,8 +729,6 @@ def run_scenario_campaign(
         splitting=splitting,
         supervision=supervision,
         chaos=chaos,
-        journal_path=journal_path,
-        resume=resume,
         manifest_path=manifest_path,
         progress=progress,
         **build_kwargs,

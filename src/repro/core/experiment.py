@@ -545,7 +545,7 @@ def _dispatch(
     for batch_outcomes in executor.map(run_protocol_task, tasks):
         if isinstance(batch_outcomes, Quarantined):
             # A supervised executor quarantined this batch: the estimate
-            # proceeds on the surviving seeds (the supervisor already
+            # proceeds on the surviving seeds (the executor already
             # manifested the loss); never cache a block with holes.
             quarantined += 1
             continue

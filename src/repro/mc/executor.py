@@ -9,21 +9,20 @@ protocol-level campaigns:
 * :func:`estimate_to_precision` — streaming sampling with CI-width-based
   early stopping: callers ask for a target relative precision instead of
   a trial count;
-* :class:`TaskExecutor` — the generic seeded fan-out: maps a picklable
-  function over a sequence of picklable tasks, preserving input order.
-  Tasks must carry their own seeds, fixed *before* dispatch, so results
-  are bit-identical for any worker count — including the serial
-  fallback used when process pools are unavailable (sandboxes,
-  restricted CI runners), and including mid-campaign pool breakage,
-  where completed results are kept and only the unfinished tasks re-run
-  serially;
-* :class:`ExecutorBackend` — *where* the tasks actually run, as a
-  strategy object: :class:`SerialBackend` runs them in-process,
-  :class:`LocalPoolBackend` fans them over a local process pool with
-  the partial-result breakage semantics above.  A multi-host backend
-  only has to implement the same two-method surface (``map`` +
-  lifecycle) and uphold the same contract: ordered results, one result
-  per task, completed work preserved across backend failure;
+* :class:`TaskExecutor` — the generic seeded fan-out and the package's
+  only dispatch loop: maps a picklable function over a sequence of
+  picklable tasks, returning one result per task in input order.  Tasks
+  carry their own seeds, fixed *before* dispatch, so results are
+  bit-identical for any worker count.  The same loop owns recovery:
+  when the transport breaks it keeps every finished result and runs the
+  rest in-process, and under a
+  :class:`~repro.supervision.SupervisionPolicy` it adds seeded retries,
+  per-task timeouts, transport strikes and poison quarantine;
+* :class:`ExecutorBackend` — *where* tasks run, as a bare transport:
+  :class:`SerialBackend` has none (tasks run in-process),
+  :class:`LocalPoolBackend` submits them to a local process pool.  A
+  new transport implements ``submit`` / ``recycle`` / ``close`` and
+  inherits ordering, exactly-once results and every recovery path;
 * :class:`SweepExecutor` — the Monte-Carlo instantiation: one
   :class:`MCTask` per sweep grid point.
 
@@ -37,20 +36,29 @@ for callers who additionally want structural (multi-index) derivation.
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
+import queue
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from ..core.specs import SystemSpec
 from ..errors import ConfigurationError
+from ..log import get_logger
 from ..metrics.stats import SummaryStats, Z_95
 from .models import LifetimeModel, model_for
 from .montecarlo import MCEstimate, run_model
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..supervision.policy import FailureManifest, SupervisionPolicy
 
 #: Trials drawn per streaming batch (small enough to stop promptly once
 #: the target precision is reached, large enough to amortize dispatch).
@@ -256,101 +264,70 @@ def resolve_workers(workers: int | None) -> int:
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
+#: Transport-level failures (a pool that will not start or has broken):
+#: never the task's own fault, so never charged against it.
+_TRANSPORT_ERRORS = (OSError, PermissionError, BrokenProcessPool)
+
+#: Operational narration (transport strikes, recycles) goes to the
+#: logger; caller-facing contract warnings (serial fallback, quarantine,
+#: ignored timeouts) stay ``warnings.warn`` — see :mod:`repro.log`.
+logger = get_logger(__name__)
+
 
 class ExecutorBackend:
-    """Where a :class:`TaskExecutor`'s tasks actually run (strategy).
+    """Where a :class:`TaskExecutor`'s tasks run: a transport, not a loop.
 
-    The contract every backend must uphold, in order of importance:
+    A backend that can dispatch one task asynchronously sets
+    :attr:`supports_submit` and implements :meth:`submit`, returning a
+    ``Future``.  :meth:`recycle` drops the transport after a fault —
+    cancelling queued work, without waiting — so the next submit starts
+    a fresh one; :meth:`close` releases it gracefully.  :meth:`open` /
+    :meth:`close` bracket a persistent ``with TaskExecutor(...)`` scope.
+    A backend that cannot submit has its tasks run in-process.
 
-    * :meth:`map` returns **exactly one result per task, in input
-      order** — never duplicated, never reordered, even when the
-      backend's transport breaks mid-round;
-    * work already completed when the transport breaks is **preserved**,
-      and only the unfinished tasks are re-run (on the in-process serial
-      path, the universal fallback);
-    * task-level exceptions raised by ``fn`` itself propagate unchanged
-      — only transport-level failures may be absorbed into a fallback.
-
-    Determinism stays the *caller's* contract (every task carries its
-    own pre-derived seed), which is what makes any two backends return
-    bit-identical results.  :meth:`open` / :meth:`close` bracket a
-    persistent scope: between them the backend may keep expensive
-    resources (a process pool, a connection) alive across rounds.
-
-    ``on_result`` (optional on :meth:`map`) streams ``(index, result)``
-    pairs back to the caller as results are collected, so journaling
-    callers can persist completed work before the round finishes —
-    an interrupt then loses only the in-flight tasks.
-
-    Backends that can dispatch one task asynchronously additionally set
-    :attr:`supports_submit` and implement :meth:`submit` /
-    :meth:`recycle` — the surface the supervision layer
-    (:mod:`repro.supervision`) builds timeouts, retries and quarantine
-    on.  Synchronous backends leave them unimplemented; supervision then
-    degrades to retry-only (a task running in-process cannot be
-    interrupted).
+    Ordering, exactly-once results, the in-process fallback, retries,
+    timeouts and quarantine all live in :meth:`TaskExecutor.map`, so
+    every transport gets them; determinism stays the caller's contract
+    (every task carries its own pre-derived seed).
     """
 
     #: Whether :meth:`submit` is available (asynchronous dispatch).
     supports_submit = False
+    #: Whether a submitted future may never resolve (injected hangs): the
+    #: executor then refuses to run without a ``task_timeout``.
+    may_hang = False
 
-    def map(
-        self,
-        fn: Callable[[TaskT], ResultT],
-        tasks: list,
-        on_result: Callable[[int, ResultT], None] | None = None,
-    ) -> list:
-        raise NotImplementedError
-
-    def submit(self, fn: Callable[[TaskT], ResultT], task):
-        """Dispatch one task, returning its ``Future`` (async backends)."""
+    def submit(self, fn: Callable[[TaskT], ResultT], task) -> Future:
+        """Dispatch one task, returning its ``Future``."""
         raise NotImplementedError(f"{type(self).__name__} cannot submit")
 
     def recycle(self) -> None:
-        """Drop transport resources after a fault (fresh ones next round)."""
+        """Drop transport resources after a fault (fresh ones next submit)."""
 
     def open(self) -> None:
         """Enter a persistent scope (keep resources across rounds)."""
 
     def close(self) -> None:
-        """Leave the persistent scope and release resources."""
+        """Release the transport's resources."""
 
 
 class SerialBackend(ExecutorBackend):
-    """Runs every task in-process, in order — the universal fallback.
+    """No transport: every task runs in-process, in input order.
 
-    Also the explicit choice for ``workers=1``: no pool startup cost,
-    no pickling, bit-identical to every other backend by the seeding
+    The explicit choice for ``workers=1`` — no pool start-up, no
+    pickling — and bit-identical to every other backend by the seeding
     contract.
     """
 
-    def map(
-        self,
-        fn: Callable[[TaskT], ResultT],
-        tasks: list,
-        on_result: Callable[[int, ResultT], None] | None = None,
-    ) -> list:
-        results = []
-        for index, task in enumerate(tasks):
-            result = fn(task)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results
-
 
 class LocalPoolBackend(ExecutorBackend):
-    """Fans tasks over a local :class:`ProcessPoolExecutor`.
+    """Submits tasks to a local :class:`ProcessPoolExecutor`.
 
-    Degrades instead of failing, down a ladder: if the pool breaks
-    mid-round, completed results are kept and the unfinished tasks
-    re-run on a *reduced* pool (half the workers, halving again on
-    repeated breakage) before the final in-process serial rung — a
-    single dead worker no longer collapses an entire wide campaign to
-    serial throughput.  The ladder resets every :meth:`map` round
-    (breakage is treated as transient); a broken persistent pool is
-    discarded and replaced on the next round.  If the platform refuses
-    to start a pool at all, the whole round runs serially.
+    The pool starts on the first :meth:`submit` and lives until
+    :meth:`recycle` or :meth:`close`; the executor closes it after every
+    round unless the round runs inside a ``with TaskExecutor(...)``
+    block.  Start-up refusals and broken pools surface as transport
+    errors for the executor's loop to absorb.
     """
 
     supports_submit = True
@@ -363,186 +340,26 @@ class LocalPoolBackend(ExecutorBackend):
             )
         self.workers = workers
         self._pool: ProcessPoolExecutor | None = None
-        self._persistent = False
 
-    def open(self) -> None:
-        self._persistent = True
-
-    def close(self) -> None:
-        self._persistent = False
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def submit(self, fn: Callable[[TaskT], ResultT], task):
-        """Dispatch one task onto the pool, returning its ``Future``.
-
-        The supervision hook: the pool is kept until :meth:`close` or
-        :meth:`recycle` regardless of the persistent scope, because
-        submit-driven callers dispatch many single tasks per round.
-        Transport failures (pool refused to start, broken pool)
-        propagate to the caller — the supervisor owns the recovery
-        policy here, not the backend.
-        """
+    def submit(self, fn: Callable[[TaskT], ResultT], task) -> Future:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool.submit(fn, task)
 
     def recycle(self) -> None:
-        """Discard the live pool; the next round builds a fresh one.
+        """Discard the pool without waiting, cancelling queued work.
 
-        Uses the broken-pool discipline (no wait, cancel queued work):
-        the caller recycles because the pool is suspect — e.g. starved
-        by hung workers — and a graceful shutdown would block on exactly
-        the tasks that hung.
+        A suspect pool (broken, or starved by hung workers) would block a
+        graceful shutdown on exactly the tasks that failed it.
         """
-        if self._pool is not None:
-            self._discard_pool(self._pool, broken=True)
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
-    def _acquire_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            if self._persistent:
-                self._pool = pool
-            return pool
-        return self._pool
-
-    def _discard_pool(self, pool: ProcessPoolExecutor, broken: bool) -> None:
-        """Drop a broken or ephemeral pool (a broken persistent pool is
-        replaced on the next :meth:`map` call)."""
-        pool.shutdown(wait=not broken, cancel_futures=broken)
-        if self._pool is pool:
-            self._pool = None
-
-    def _ladder(self) -> list[int]:
-        """Pool widths to try, full first, halving down to two workers."""
-        widths = []
-        width = self.workers
-        while width >= 2:
-            widths.append(width)
-            width //= 2
-        return widths
-
-    def _pool_at(self, width: int) -> ProcessPoolExecutor:
-        """A pool of ``width`` workers (persistent only at full width)."""
-        if width == self.workers:
-            return self._acquire_pool()
-        return ProcessPoolExecutor(max_workers=width)
-
-    def _run_round(
-        self,
-        pool: ProcessPoolExecutor,
-        fn: Callable[[TaskT], ResultT],
-        pending: list[tuple[int, TaskT]],
-        results: dict,
-        on_result: Callable[[int, ResultT], None] | None,
-        width: int,
-    ) -> list[tuple[int, TaskT]]:
-        """One pool round; returns the (index, task) pairs still unfinished.
-
-        Completed results land in ``results`` keyed by input index —
-        exactly once each, even when the pool breaks mid-round.  On
-        submit-time breakage the pool is discarded (cancelling queued
-        work) *before* returning, so no task can run both in a worker
-        and on the next rung.
-        """
-        broken = False
-        unfinished: list[tuple[int, TaskT]] = []
-        try:
-            try:
-                futures = [(idx, task, pool.submit(fn, task)) for idx, task in pending]
-            except (OSError, PermissionError, BrokenProcessPool):
-                broken = True
-                self._discard_pool(pool, broken=True)
-                return list(pending)
-            for idx, task, future in futures:
-                try:
-                    result = future.result()
-                except (OSError, PermissionError, BrokenProcessPool):
-                    # Keep every result already computed; only the tasks
-                    # the broken pool never finished descend to the next
-                    # rung — in input order, exactly once each.  (Per-
-                    # task seeds make the outcome identical either way.)
-                    # Task-level errors from inside a healthy worker —
-                    # e.g. UnsampleableSpecError — re-raise above
-                    # unchanged.
-                    broken = True
-                    unfinished.append((idx, task))
-                    continue
-                results[idx] = result
-                if on_result is not None:
-                    on_result(idx, result)
-        except BaseException:
-            # An interrupt (Ctrl-C) must not block on a graceful
-            # shutdown of in-flight work: cancel and go.
-            self._discard_pool(pool, broken=True)
-            raise
-        finally:
-            if broken or not self._persistent or width != self.workers:
-                self._discard_pool(pool, broken)
-        return unfinished
-
-    def map(
-        self,
-        fn: Callable[[TaskT], ResultT],
-        tasks: list,
-        on_result: Callable[[int, ResultT], None] | None = None,
-    ) -> list:
-        if len(tasks) <= 1:
-            results = [fn(task) for task in tasks]
-            if on_result is not None:
-                for index, result in enumerate(results):
-                    on_result(index, result)
-            return results
-        collected: dict[int, ResultT] = {}
-        pending: list[tuple[int, TaskT]] = list(enumerate(tasks))
-        ladder = self._ladder()
-        for rung, width in enumerate(ladder):
-            if len(pending) <= 1:
-                break
-            try:
-                pool = self._pool_at(width)
-            except (OSError, PermissionError) as exc:
-                warnings.warn(
-                    f"process pool unavailable ({exc!r}); falling back to "
-                    "serial task execution",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                break
-            before = len(pending)
-            pending = self._run_round(pool, fn, pending, collected, on_result, width)
-            if not pending:
-                break
-            submit_broke = len(pending) == before
-            if rung + 1 < len(ladder):
-                warnings.warn(
-                    f"process pool of {width} workers broke; retrying "
-                    f"{len(pending)} unfinished tasks on a reduced pool "
-                    f"({ladder[rung + 1]} workers)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            elif submit_broke:
-                warnings.warn(
-                    "process pool unavailable (pool broke at submit time); "
-                    "running this round of tasks serially",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            else:
-                warnings.warn(
-                    "process pool unavailable (pool broke mid-round); "
-                    "running remaining tasks serially",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        for idx, task in pending:
-            result = fn(task)
-            collected[idx] = result
-            if on_result is not None:
-                on_result(idx, result)
-        return [collected[i] for i in range(len(tasks))]
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
 
 def backend_for(workers: int) -> ExecutorBackend:
@@ -556,17 +373,25 @@ class TaskExecutor:
     """Maps a picklable function over picklable tasks, in order.
 
     The generic seeded fan-out behind both the Monte-Carlo sweeps and
-    the protocol-level campaigns.  *How* the tasks run is delegated to
-    a pluggable :class:`ExecutorBackend`: ``workers`` ≤ 1 (or ``None``)
-    selects the in-process :class:`SerialBackend`, larger values a
-    :class:`LocalPoolBackend` process pool, and ``backend=`` installs
-    any other implementation of the interface (e.g. a future multi-host
-    work-queue backend).  Determinism is the caller's contract: every
-    task must carry its own pre-derived seed (never derive randomness
-    from worker identity), which is what makes all backends return
-    bit-identical results.  Backend-transport failures degrade to the
-    serial path with a warning instead of failing, preserving every
-    result already completed and re-running only the unfinished tasks.
+    the protocol-level campaigns, and the one dispatch loop in the
+    package.  *Where* tasks run is a pluggable :class:`ExecutorBackend`:
+    ``workers`` ≤ 1 (or ``None``) selects the in-process
+    :class:`SerialBackend`, larger values a :class:`LocalPoolBackend`,
+    and ``backend=`` installs any other transport.  Determinism is the
+    caller's contract: every task carries its own pre-derived seed, so
+    all backends return bit-identical results.
+
+    Without a ``policy``, task exceptions propagate unchanged and the
+    first transport failure recycles the transport, keeps every result
+    already finished and runs the rest in-process with a
+    ``RuntimeWarning``.  With a
+    :class:`~repro.supervision.SupervisionPolicy`, failed tasks retry on
+    a seed-derived backoff, hung tasks time out, transport failures are
+    absorbed up to ``transport_strikes`` recycles before the rest drains
+    in-process, and a task that exhausts ``max_attempts`` is quarantined:
+    its slot holds a :class:`~repro.supervision.Quarantined` marker and
+    :attr:`manifest` (a :class:`~repro.supervision.FailureManifest`
+    spanning every round) records it.
     """
 
     def __init__(
@@ -574,9 +399,31 @@ class TaskExecutor:
         workers: int | None = None,
         *,
         backend: ExecutorBackend | None = None,
+        policy: "SupervisionPolicy | None" = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.backend = backend if backend is not None else backend_for(self.workers)
+        self.policy = policy
+        self.manifest: "FailureManifest | None" = None
+        self._scoped = False
+        if self.backend.may_hang and (policy is None or policy.task_timeout is None):
+            raise ConfigurationError(
+                f"{type(self.backend).__name__} may hang tasks; it needs a "
+                "SupervisionPolicy with a task_timeout, or map() could block "
+                "forever"
+            )
+        if policy is None:
+            return
+        from ..supervision.policy import FailureManifest  # deferred: cycle
+
+        self.manifest = FailureManifest()
+        if policy.task_timeout is not None and not self.backend.supports_submit:
+            warnings.warn(
+                f"{type(self.backend).__name__} runs tasks in-process; "
+                "task_timeout cannot interrupt them and is ignored",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     @property
     def _pool(self) -> ProcessPoolExecutor | None:
@@ -588,9 +435,10 @@ class TaskExecutor:
 
         Streaming callers (CI-width early stopping) dispatch many small
         rounds; without a persistent pool every round would pay full
-        pool startup.  Outside a ``with`` block each call still uses an
-        ephemeral pool.
+        pool startup.  Outside a ``with`` block every round closes its
+        transport when it ends.
         """
+        self._scoped = True
         self.backend.open()
         return self
 
@@ -598,7 +446,8 @@ class TaskExecutor:
         self.close()
 
     def close(self) -> None:
-        """Close the backend's persistent scope, if one is open."""
+        """Leave the persistent scope and release the backend."""
+        self._scoped = False
         self.backend.close()
 
     def map(
@@ -607,19 +456,242 @@ class TaskExecutor:
         tasks: Sequence[TaskT],
         on_result: Callable[[int, ResultT], None] | None = None,
     ) -> list[ResultT]:
-        """Apply ``fn`` to every task, preserving input order.
+        """Apply ``fn`` to every task; one result per task, in input order.
 
         ``fn`` must be a module-level function (picklable) when the
-        backend ships tasks out of process.  Task-level exceptions
-        raised inside a healthy worker propagate unchanged; only
-        backend-transport failures (startup refusal, broken pool)
-        trigger the serial fallback.  ``on_result`` streams each result
-        as it lands (see :meth:`ExecutorBackend.map`); it is forwarded
-        only when set, so backends predating the callback keep working.
+        backend ships tasks out of process.  ``on_result(index, result)``
+        fires exactly once per task as its result lands (in completion
+        order, quarantine markers included), so callers can persist
+        finished work before the round ends — an interrupt then loses
+        only the tasks in flight.
         """
-        if on_result is None:
-            return self.backend.map(fn, list(tasks))
-        return self.backend.map(fn, list(tasks), on_result=on_result)
+        try:
+            return _Round(self, fn, list(tasks), on_result).run()
+        except BaseException:
+            # A task error or an interrupt: never wait on in-flight work.
+            self.backend.recycle()
+            raise
+        finally:
+            if not self._scoped:
+                self.backend.close()
+
+
+class _Round:
+    """State of one :meth:`TaskExecutor.map` call and its dispatch loop.
+
+    Every task index is in exactly one place until its result lands:
+    ``ready`` (a heap of ``(eligible time, index)`` awaiting submission
+    or retry) or ``waiting`` (submitted, ``future -> index``).
+    Completions arrive through a queue fed by future callbacks, so each
+    one costs O(1); deadlines are kept in submission order, which is
+    deadline order because every task gets the same timeout.
+    """
+
+    def __init__(self, executor: TaskExecutor, fn, tasks: list, on_result) -> None:
+        self.backend = executor.backend
+        self.policy = executor.policy
+        self.manifest = executor.manifest
+        self.fn = fn
+        self.tasks = tasks
+        self.on_result = on_result
+        n = len(tasks)
+        self.results: list = [None] * n
+        self.left = n
+        self.attempts = [0] * n
+        self.ready = [(0.0, index) for index in range(n)]
+        self.waiting: dict[Future, int] = {}
+        self.deadlines: deque[tuple[float, Future]] = deque()
+        self.completed: queue.SimpleQueue = queue.SimpleQueue()
+        self.strikes = 0
+        self.abandoned = 0
+        # A lone unsupervised task is not worth a pool start-up.
+        self.remote = self.backend.supports_submit and (
+            self.policy is not None or n > 1
+        )
+
+    def run(self) -> list:
+        while self.left:
+            if not self.remote:
+                self._run_in_process()
+                break
+            self._submit_ready()
+            if self.remote:
+                self._wait()
+        return self.results
+
+    # ------------------------------------------------------------------
+    def _land(self, index: int, result) -> None:
+        self.results[index] = result
+        self.left -= 1
+        if self.on_result is not None:
+            self.on_result(index, result)
+
+    def _fail(self, index: int, kind: str, error: BaseException) -> float | None:
+        """Charge a failed attempt: the backoff before its retry, or
+        ``None`` once the task is quarantined."""
+        from ..supervision.policy import retry_delay, task_seed_of
+
+        self.attempts[index] += 1
+        attempts = self.attempts[index]
+        task = self.tasks[index]
+        if attempts >= self.policy.max_attempts:
+            marker = self.manifest.quarantine(index, task, attempts, kind, error)
+            self._land(index, marker)
+            return None
+        self.manifest.retries += 1
+        return retry_delay(self.policy, attempts, task_seed_of(task, index))
+
+    def _retry_later(self, index: int, kind: str, error: BaseException) -> None:
+        delay = self._fail(index, kind, error)
+        if delay is not None:
+            heapq.heappush(self.ready, (time.monotonic() + delay, index))
+
+    # ------------------------------------------------------------------
+    def _submit_ready(self) -> None:
+        """Submit every task whose backoff has elapsed."""
+        now = time.monotonic()
+        timeout = self.policy.task_timeout if self.policy is not None else None
+        while self.ready and self.ready[0][0] <= now:
+            _, index = heapq.heappop(self.ready)
+            try:
+                future = self.backend.submit(self.fn, self.tasks[index])
+            except _TRANSPORT_ERRORS as exc:
+                heapq.heappush(self.ready, (now, index))
+                self._transport_failed(exc, "at submit")
+                return
+            self.waiting[future] = index
+            if timeout is not None:
+                self.deadlines.append((now + timeout, future))
+            future.add_done_callback(self.completed.put)
+
+    def _wait(self) -> None:
+        """Block until a completion, the next deadline or backoff expiry."""
+        if not self.waiting:
+            time.sleep(max(0.0, self.ready[0][0] - time.monotonic()))
+            return
+        timeout = None
+        if self.policy is not None:
+            wake = self.ready[0][0] if self.ready else math.inf
+            if self.deadlines:
+                wake = min(wake, self.deadlines[0][0])
+            pause = wake - time.monotonic()
+            timeout = max(0.0, min(pause, self.policy.poll_interval))
+        try:
+            future = self.completed.get(timeout=timeout)
+        except queue.Empty:
+            pass
+        else:
+            self._settle(future)
+        if self.deadlines:
+            self._expire()
+
+    def _settle(self, future: Future) -> None:
+        index = self.waiting.pop(future, None)
+        if index is None:
+            return  # timed out, or from a recycled transport
+        try:
+            result = future.result()
+        except _TRANSPORT_ERRORS as exc:
+            heapq.heappush(self.ready, (time.monotonic(), index))
+            self._transport_failed(exc, "mid-task")
+            return
+        except Exception as exc:
+            if self.policy is None:
+                raise
+            self._retry_later(index, "error", exc)
+            return
+        self._land(index, result)
+
+    def _expire(self) -> None:
+        """Charge a timeout to every task past its deadline."""
+        now = time.monotonic()
+        while self.deadlines:
+            deadline, future = self.deadlines[0]
+            if future in self.waiting and deadline > now:
+                break
+            self.deadlines.popleft()
+            if future.done() or future not in self.waiting:
+                continue  # settled, or its completion is queued
+            index = self.waiting.pop(future)
+            if not future.cancel():
+                self.abandoned += 1  # already running: a hung worker
+            self.manifest.timeouts += 1
+            error = TimeoutError(f"no result within {self.policy.task_timeout:g}s")
+            self._retry_later(index, "timeout", error)
+        width = getattr(self.backend, "workers", None)
+        if width is not None and self.abandoned >= width:
+            # Hung workers fill the pool: only a fresh one makes progress.
+            self.manifest.degradations += 1
+            self.abandoned = 0
+            logger.warning("%d hung tasks starved the pool; recycled it", width)
+            self._recycle()
+
+    # ------------------------------------------------------------------
+    def _recycle(self) -> None:
+        """Drop the transport, keep finished results, requeue the rest.
+
+        The backend is recycled *first* — queued work cancelled — so no
+        requeued task can still start on the old transport.  Requeued
+        tasks are not charged an attempt: the transport failed, not them.
+        """
+        self.backend.recycle()
+        now = time.monotonic()
+        for future, index in self.waiting.items():
+            finished = future.done() and not future.cancelled()
+            if finished and future.exception() is None:
+                self._land(index, future.result())
+            else:
+                heapq.heappush(self.ready, (now, index))
+        self.waiting.clear()
+        self.deadlines.clear()
+
+    def _transport_failed(self, exc: BaseException, where: str) -> None:
+        self._recycle()
+        if self.policy is None:
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running the "
+                f"{len(self.ready)} remaining tasks serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.remote = False
+            return
+        self.strikes += 1
+        self.manifest.transport_failures += 1
+        logger.warning(
+            "backend transport failed %s (%r); recycled (strike %d/%d)",
+            where,
+            exc,
+            self.strikes,
+            self.policy.transport_strikes,
+        )
+        if self.strikes > self.policy.transport_strikes:
+            self.manifest.degradations += 1
+            logger.warning(
+                "backend transport exhausted its strikes; running %d "
+                "remaining tasks in-process",
+                len(self.ready),
+            )
+            self.remote = False
+
+    def _run_in_process(self) -> None:
+        """Run every unfinished task here, in index order (retries sleep)."""
+        pending = sorted(index for _, index in self.ready)
+        self.ready.clear()
+        for index in pending:
+            while True:
+                try:
+                    result = self.fn(self.tasks[index])
+                except Exception as exc:
+                    if self.policy is None:
+                        raise
+                    delay = self._fail(index, "error", exc)
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                    continue
+                self._land(index, result)
+                break
 
 
 class SweepExecutor(TaskExecutor):

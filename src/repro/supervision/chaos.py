@@ -18,10 +18,12 @@ Fault kinds
     (crash-after-run) — both look identical to a supervisor, but
     crash-after-run also proves retried work re-derives the same result.
 ``hang``
-    The returned future simply never completes; only a supervisor with a
-    ``task_timeout`` can recover.  Hangs are simulated at the dispatch
-    layer (the future is parked, no worker is tied up), so a recycled
-    backend is not actually poisoned.
+    The returned future simply never completes; only a supervised
+    executor with a ``task_timeout`` can recover, so
+    :class:`~repro.mc.executor.TaskExecutor` refuses a spec that can hang
+    without one.  Hangs are simulated at the dispatch layer (the future
+    is parked, no worker is tied up), so a recycled backend is not
+    actually poisoned.
 ``transient``
     The first :attr:`ChaosSpec.transient_attempts` attempts of an
     afflicted task fail; later attempts succeed — the retry path's bread
@@ -37,7 +39,6 @@ fault-free run.
 from __future__ import annotations
 
 import random
-import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable
@@ -165,14 +166,14 @@ class ChaosSpec:
 
 
 class ChaosBackend(ExecutorBackend):
-    """Inject seeded faults between a supervisor and the real backend.
+    """Inject seeded faults between the executor and the real backend.
 
     Task functions run un-afflicted through ``inner``; the chaos layer
     decides *before* dispatch whether this attempt crashes (raise
     instead of run), crashes-after-run (run, then discard the result and
     raise), hangs (return a future that never resolves), or proceeds.
-    Attempt counting is per task seed and lives here, so retries through
-    a :class:`~repro.supervision.SupervisedBackend` naturally advance a
+    Attempt counting is per task seed and lives here, so retries by a
+    supervised :class:`~repro.mc.executor.TaskExecutor` naturally advance a
     transient fault towards recovery.
     """
 
@@ -183,6 +184,7 @@ class ChaosBackend(ExecutorBackend):
     ) -> None:
         self.spec = spec
         self.inner = inner if inner is not None else SerialBackend()
+        self.may_hang = spec.hang > 0.0
         self._attempts: dict[int, int] = {}
         self._parked: list[Future] = []
 
@@ -255,32 +257,6 @@ class ChaosBackend(ExecutorBackend):
         except BaseException as exc:  # noqa: BLE001 - future carries it
             future.set_exception(exc)
         return future
-
-    def map(
-        self,
-        fn: Callable,
-        tasks: list,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> list:
-        """Unsupervised map: faults surface as raw exceptions.
-
-        Useful for demonstrating what chaos does *without* supervision;
-        hangs cannot be expressed synchronously, so a spec that can hang
-        is refused here — wrap the backend in a supervisor instead.
-        """
-        if self.spec.hang > 0.0:
-            raise ConfigurationError(
-                "ChaosSpec with hang > 0 requires a SupervisedBackend "
-                "with a task_timeout; a bare map() would block forever"
-            )
-        results = []
-        for index, task in enumerate(tasks):
-            future = self.submit(fn, task)
-            result = future.result()
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results
 
 
 def chaos_events(spec: ChaosSpec, task_seeds: list[int]) -> dict[str, int]:

@@ -11,6 +11,7 @@ enough to assert bit-identical estimates under injected faults.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -21,7 +22,7 @@ from ..sim.rng import derive_seed
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How a :class:`~repro.supervision.SupervisedBackend` treats failure.
+    """How a supervised :class:`~repro.mc.executor.TaskExecutor` treats failure.
 
     Attributes
     ----------
@@ -42,11 +43,11 @@ class SupervisionPolicy:
         ``[1 - jitter, 1 + jitter]`` derived deterministically from the
         task seed and attempt number (see :func:`retry_delay`).
     poll_interval:
-        Granularity of the supervision loop's waits, in seconds.
+        Longest single wait of the supervised dispatch loop, in seconds.
     transport_strikes:
         Backend-transport failures (pool refused to start, broken pool)
-        tolerated before the supervisor stops re-submitting and drains
-        the remaining tasks synchronously in-process.
+        tolerated (each one recycles the transport) before the executor
+        stops re-submitting and drains the remaining tasks in-process.
     """
 
     max_attempts: int = 3
@@ -206,6 +207,28 @@ class FailureManifest:
 
     def record(self, failure: TaskFailure) -> None:
         self.failures.append(failure)
+
+    def quarantine(
+        self, index: int, task: Any, attempts: int, kind: str, error: BaseException
+    ) -> Quarantined:
+        """Record a task that exhausted its attempts; returns its slot marker."""
+        failure = TaskFailure(
+            index=index,
+            label=describe_task(task),
+            seeds=tuple(getattr(task, "seeds", ()) or ()),
+            attempts=attempts,
+            kind=kind,
+            error=f"{type(error).__name__}: {error}",
+        )
+        self.record(failure)
+        warnings.warn(
+            f"task {index} ({failure.label}) quarantined after "
+            f"{attempts} attempts ({failure.error}); campaign continues "
+            "without it — see the failure manifest",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return Quarantined(failure)
 
     def as_dict(self) -> dict:
         return {

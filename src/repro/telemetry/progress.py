@@ -3,7 +3,7 @@
 :class:`ProgressReporter` consumes batches of
 :class:`~repro.core.experiment.LifetimeOutcome` as
 :func:`~repro.core.campaign.run_campaign` collects them (the
-``on_result`` streaming path, plus cache/journal replays) and renders a
+``on_result`` streaming path, plus result-cache replays) and renders a
 one-line status: runs completed, 95% CI half-width of the running mean,
 censoring fraction, and simulator events per wall-second.
 

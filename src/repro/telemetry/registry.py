@@ -14,7 +14,7 @@ Two layers share this module:
   commutes over any worker count, batch size or dispatch order.
 * :class:`MetricsRegistry` / :class:`MetricsSnapshot` — the campaign
   aggregation vocabulary.  A registry is built *after* the runs (never
-  on a hot path), folded from per-run structs plus the cache, journal,
+  on a hot path), folded from per-run structs plus the cache,
   supervision and rare-event tallies, then frozen into a picklable
   snapshot whose :meth:`MetricsSnapshot.merge` is monotonic (counters
   add, gauges take the latest non-``None``, histograms add bucketwise).

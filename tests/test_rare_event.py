@@ -191,7 +191,7 @@ class TestLevels:
         assert choose_levels([1.0] * 32) == ()
         assert choose_levels([]) == ()
 
-    def test_structural_ladder(self):
+    def test_structural_levels(self):
         assert structural_levels(s1(Scheme.PO)) == ()
         # S0 f=1 needs 2 simultaneous falls: the 1/2 rung plus quarter
         # sub-rungs toward the second.

@@ -8,9 +8,10 @@ The acceptance contract of ``repro.supervision``:
   per-task seeds, so recovery is invisible in the results;
 * persistent poison ends in quarantine: a typed ``TaskFailure`` in the
   failure manifest, never a silent gap (and never a crashed campaign);
-* an interrupted campaign flushes completed work to its journal and a
-  ``resume`` run dispatches **zero** already-journaled tasks (asserted
-  with a poisoned runner, like the result-cache battery).
+* an interrupted campaign keeps every completed grid point in the
+  result cache, and re-running it against the same cache dispatches
+  exactly the missing work (asserted with a runner that refuses
+  completed points, like the result-cache battery).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro.core.campaign as campaign_module
+import repro.core.experiment as experiment_module
 from repro.cache import ResultCache
 from repro.core.campaign import (
     CampaignInterrupted,
@@ -33,22 +35,21 @@ from repro.core.campaign import (
     campaign_record,
     run_campaign,
 )
+from repro.core.experiment import _outcome_block_payload, _outcome_payload
 from repro.core.specs import SystemClass
 from repro.errors import ConfigurationError
 from repro.mc.executor import (
     ExecutorBackend,
-    LocalPoolBackend,
     SerialBackend,
+    TaskExecutor,
     derive_point_seed,
 )
 from repro.reporting.tables import render_failure_manifest
 from repro.supervision import (
-    CampaignJournal,
     ChaosBackend,
     ChaosCrash,
     ChaosSpec,
     Quarantined,
-    SupervisedBackend,
     SupervisionPolicy,
     TaskFailure,
     deliver_sigterm_as_interrupt,
@@ -160,7 +161,7 @@ def test_chaos_fault_partition_is_seed_deterministic():
 
 
 # ----------------------------------------------------------------------
-# SupervisedBackend unit tests (scripted inners)
+# Supervised TaskExecutor unit tests (scripted transports)
 # ----------------------------------------------------------------------
 class ScriptedAsyncInner(ExecutorBackend):
     """Async-capable inner whose behavior per (task, attempt) is scripted.
@@ -208,10 +209,10 @@ def test_supervised_sync_retries_then_succeeds():
             raise ValueError("transient")
         return task.upper()
 
-    backend = SupervisedBackend(SerialBackend(), SupervisionPolicy(**FAST))
-    assert backend.map(flaky, ["left", "right"]) == ["LEFT", "RIGHT"]
-    assert backend.manifest.retries == 2
-    assert backend.manifest.quarantined == 0
+    executor = TaskExecutor(backend=SerialBackend(), policy=SupervisionPolicy(**FAST))
+    assert executor.map(flaky, ["left", "right"]) == ["LEFT", "RIGHT"]
+    assert executor.manifest.retries == 2
+    assert executor.manifest.quarantined == 0
 
 
 def test_supervised_sync_quarantines_poison_in_place():
@@ -220,135 +221,82 @@ def test_supervised_sync_quarantines_poison_in_place():
             raise ValueError("permanently broken")
         return task
 
-    backend = SupervisedBackend(
-        SerialBackend(), SupervisionPolicy(max_attempts=2, **FAST)
+    executor = TaskExecutor(
+        backend=SerialBackend(), policy=SupervisionPolicy(max_attempts=2, **FAST)
     )
     with pytest.warns(RuntimeWarning, match="quarantined after 2 attempts"):
-        results = backend.map(poisoned, ["ok", "bad", "also ok"])
+        results = executor.map(poisoned, ["ok", "bad", "also ok"])
     assert results[0] == "ok" and results[2] == "also ok"
     assert isinstance(results[1], Quarantined)
     failure = results[1].failure
     assert isinstance(failure, TaskFailure)
     assert failure.index == 1 and failure.kind == "error"
-    assert backend.manifest.failures == [failure]
+    assert executor.manifest.failures == [failure]
 
 
 def test_supervised_sync_warns_that_timeouts_cannot_apply():
-    backend = SupervisedBackend(
-        SerialBackend(), SupervisionPolicy(task_timeout=1.0, **FAST)
-    )
     with pytest.warns(RuntimeWarning, match="task_timeout cannot interrupt"):
-        assert backend.map(_double, [3]) == [6]
+        executor = TaskExecutor(
+            backend=SerialBackend(), policy=SupervisionPolicy(task_timeout=1.0, **FAST)
+        )
+        assert executor.map(_double, [3]) == [6]
 
 
 def test_supervised_async_timeout_then_recovery():
     inner = ScriptedAsyncInner({4: ["hang", "ok"], 5: ["ok"]})
-    backend = SupervisedBackend(
-        inner, SupervisionPolicy(task_timeout=0.05, **FAST)
+    executor = TaskExecutor(
+        backend=inner, policy=SupervisionPolicy(task_timeout=0.05, **FAST)
     )
-    assert backend.map(_double, [4, 5]) == [8, 10]
-    assert backend.manifest.timeouts == 1
-    assert backend.manifest.retries == 1
+    assert executor.map(_double, [4, 5]) == [8, 10]
+    assert executor.manifest.timeouts == 1
+    assert executor.manifest.retries == 1
 
 
 def test_supervised_async_persistent_hang_quarantines_as_timeout():
     inner = ScriptedAsyncInner({7: ["hang", "hang"], 8: ["ok"]})
-    backend = SupervisedBackend(
-        inner, SupervisionPolicy(max_attempts=2, task_timeout=0.05, **FAST)
+    executor = TaskExecutor(
+        backend=inner,
+        policy=SupervisionPolicy(max_attempts=2, task_timeout=0.05, **FAST),
     )
     with pytest.warns(RuntimeWarning, match="quarantined"):
-        results = backend.map(_double, [7, 8])
+        results = executor.map(_double, [7, 8])
     assert results[1] == 16
     assert isinstance(results[0], Quarantined)
     assert results[0].failure.kind == "timeout"
-    assert backend.manifest.timeouts == 2
+    assert executor.manifest.timeouts == 2
 
 
 def test_supervised_transport_exhaustion_drains_in_process(caplog):
     inner = ScriptedAsyncInner({1: ["transport"], 2: ["transport"]})
-    backend = SupervisedBackend(
-        inner, SupervisionPolicy(transport_strikes=1, **FAST)
+    executor = TaskExecutor(
+        backend=inner, policy=SupervisionPolicy(transport_strikes=1, **FAST)
     )
-    with caplog.at_level("WARNING", logger="repro.supervision.backend"):
-        assert backend.map(_double, [1, 2]) == [2, 4]
+    with caplog.at_level("WARNING", logger="repro.mc.executor"):
+        assert executor.map(_double, [1, 2]) == [2, 4]
     messages = [record.getMessage() for record in caplog.records]
     assert any("in-process" in m for m in messages)
     assert any("recycled" in m for m in messages)
-    assert backend.manifest.transport_failures >= 2
-    assert backend.manifest.degradations == 1
+    assert executor.manifest.transport_failures >= 2
+    assert executor.manifest.degradations == 1
     assert inner.recycled >= 2
-
-
-# ----------------------------------------------------------------------
-# Degradation ladder (full pool → reduced pool → serial)
-# ----------------------------------------------------------------------
-class LadderPool:
-    """Fake pool completing ``complete_first`` tasks, then breaking."""
-
-    def __init__(self, max_workers, complete_first):
-        self.max_workers = max_workers
-        self.complete_first = complete_first
-        self.submitted = 0
-
-    def submit(self, fn, task):
-        future: Future = Future()
-        if self.submitted < self.complete_first:
-            future.set_result(fn(task))
-        else:
-            future.set_exception(BrokenProcessPool("worker died"))
-        self.submitted += 1
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_pool_breakage_descends_the_ladder_not_straight_to_serial(monkeypatch):
-    created = []
-
-    def factory(max_workers=None):
-        # First pool (full width) breaks after one task; the reduced
-        # pool finishes the round.
-        pool = LadderPool(max_workers, 1 if not created else 999)
-        created.append(pool)
-        return pool
-
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", factory)
-    backend = LocalPoolBackend(4)
-    with pytest.warns(RuntimeWarning, match=r"reduced pool \(2 workers\)"):
-        assert backend.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
-    assert [pool.max_workers for pool in created] == [4, 2]
-
-
-def test_ladder_resets_per_round(monkeypatch):
-    created = []
-
-    def factory(max_workers=None):
-        pool = LadderPool(max_workers, 999)
-        created.append(pool)
-        return pool
-
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", factory)
-    backend = LocalPoolBackend(4)
-    assert backend.map(_double, [1, 2]) == [2, 4]
-    assert backend.map(_double, [3, 4]) == [6, 8]
-    # Healthy rounds: full width both times, no leftover degradation.
-    assert [pool.max_workers for pool in created] == [4, 4]
 
 
 # ----------------------------------------------------------------------
 # ChaosBackend
 # ----------------------------------------------------------------------
 def test_chaos_backend_unsupervised_surfaces_crashes():
-    backend = ChaosBackend(ChaosSpec(seed=1, crash=1.0))
+    executor = TaskExecutor(backend=ChaosBackend(ChaosSpec(seed=1, crash=1.0)))
     with pytest.raises(ChaosCrash):
-        backend.map(_double, [10])
+        executor.map(_double, [10, 11])
 
 
 def test_chaos_backend_refuses_hangs_without_supervision():
     backend = ChaosBackend(ChaosSpec(seed=1, hang=0.5))
-    with pytest.raises(ConfigurationError, match="SupervisedBackend"):
-        backend.map(_double, [10])
+    with pytest.raises(ConfigurationError, match="task_timeout"):
+        TaskExecutor(backend=backend).map(_double, [10, 11])
+    # A policy without a timeout could wait on a hung task forever too.
+    with pytest.raises(ConfigurationError, match="task_timeout"):
+        TaskExecutor(backend=backend, policy=SupervisionPolicy(**FAST))
 
 
 class SeededTask:
@@ -363,13 +311,13 @@ def _double_seed(task):
 
 
 def test_chaos_crash_recovers_under_supervision():
-    backend = SupervisedBackend(
-        ChaosBackend(ChaosSpec(seed=1, crash=1.0, transient_attempts=1)),
-        SupervisionPolicy(**FAST),
+    executor = TaskExecutor(
+        backend=ChaosBackend(ChaosSpec(seed=1, crash=1.0, transient_attempts=1)),
+        policy=SupervisionPolicy(**FAST),
     )
     tasks = [SeededTask(10), SeededTask(11)]
-    assert backend.map(_double_seed, tasks) == [20, 22]
-    assert backend.manifest.retries == 2  # one injected crash per task
+    assert executor.map(_double_seed, tasks) == [20, 22]
+    assert executor.manifest.retries == 2  # one injected crash per task
 
 
 # ----------------------------------------------------------------------
@@ -453,34 +401,8 @@ def test_battery_supervised_run_matches_clean_under_multiprocess(grid, clean_res
 
 
 # ----------------------------------------------------------------------
-# Journal + interrupt + resume
+# Interrupt + resume through the result cache
 # ----------------------------------------------------------------------
-def test_journal_roundtrip_and_torn_tail(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    journal = CampaignJournal(path, meta={"root_seed": 9})
-    assert journal.open() == {}
-    journal.append("k1", [1, 2])
-    journal.append("k2", [3])
-    journal.close()
-    # Simulate a crash mid-append: torn final line.
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "k3", "payl')
-    meta, entries = CampaignJournal.load(path)
-    assert meta == {"root_seed": 9}
-    assert entries == {"k1": [1, 2], "k2": [3]}
-    # Reopening compacts the torn tail away and keeps the entries.
-    assert CampaignJournal(path, meta={"root_seed": 9}).open() == {
-        "k1": [1, 2],
-        "k2": [3],
-    }
-    assert '"k3"' not in path.read_text()
-
-
-def test_journal_load_missing_file_is_empty(tmp_path):
-    meta, entries = CampaignJournal.load(tmp_path / "absent.jsonl")
-    assert meta == {} and entries == {}
-
-
 def test_sigterm_is_delivered_as_keyboard_interrupt():
     with deliver_sigterm_as_interrupt():
         with pytest.raises(KeyboardInterrupt):
@@ -488,93 +410,93 @@ def test_sigterm_is_delivered_as_keyboard_interrupt():
             time.sleep(1.0)  # interrupted by the handler
 
 
-def test_interrupt_flushes_journal_and_resume_dispatches_rest(
+def _point_key(cache, index, spec):
+    seeds = [derive_point_seed(ROOT_SEED, index, j) for j in range(TRIALS)]
+    return cache.key_for(_outcome_block_payload(spec, seeds, MAX_STEPS, {}, None))
+
+
+def _campaign(grid, **kwargs):
+    return run_campaign(
+        grid, trials=TRIALS, max_steps=MAX_STEPS, seed=ROOT_SEED, **kwargs
+    )
+
+
+def test_interrupt_keeps_points_in_cache_and_rerun_resumes(
     grid, clean_result, tmp_path, monkeypatch
 ):
-    journal_path = tmp_path / "campaign.jsonl"
+    cache = ResultCache(tmp_path / "cache")
+    reader = ResultCache(tmp_path / "cache")  # keeps the campaign's tallies
     real_runner = campaign_module.run_protocol_task
-    calls: list = []
+    last = grid[-1]
+    stored_before_interrupt: list = []
 
     def interrupting(task):
-        if calls:
-            raise KeyboardInterrupt  # the operator hits Ctrl-C mid-campaign
-        calls.append(task)
+        if task.spec == last:
+            # Every earlier point has landed, so it is already stored.
+            for i, spec in enumerate(grid[:-1]):
+                stored_before_interrupt.append(
+                    reader.lookup(_point_key(reader, i, spec))
+                )
+            raise KeyboardInterrupt  # the operator hits Ctrl-C
         return real_runner(task)
 
     monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
-    with pytest.raises(CampaignInterrupted) as excinfo:
-        run_campaign(
-            grid,
-            trials=TRIALS,
-            max_steps=MAX_STEPS,
-            seed=ROOT_SEED,
-            workers=1,
-            journal_path=journal_path,
-        )
+    with pytest.raises(CampaignInterrupted, match="in the result cache") as excinfo:
+        _campaign(grid, workers=1, batch_size=2, cache=cache)
+    assert stored_before_interrupt == [
+        [_outcome_payload(o) for o in estimate.outcomes]
+        for estimate in clean_result.estimates[:-1]
+    ]
     partial = excinfo.value.partial
-    assert len(partial.estimates) == 1  # the completed point, flushed
-    assert partial.estimates[0].outcomes == clean_result.estimates[0].outcomes
+    assert _outcomes(partial) == _outcomes(clean_result)[:-1]
 
-    # Resume: only the never-finished task dispatches.
-    resumed_calls: list = []
+    # Re-run against the same cache: only the missing point dispatches.
+    done = {o.seed for e in clean_result.estimates[:-1] for o in e.outcomes}
+    dispatched: list = []
 
-    def counting(task):
-        resumed_calls.append(task)
+    def refusing(task):
+        if done & set(task.seeds):
+            raise AssertionError("re-ran a grid point the cache holds")
+        dispatched.append(task)
         return real_runner(task)
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", counting)
-    resumed = run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-        resume=True,
-    )
-    assert len(resumed_calls) == 1
+    monkeypatch.setattr(campaign_module, "run_protocol_task", refusing)
+    resumed = _campaign(grid, workers=1, batch_size=2, cache=cache)
+    assert [task.spec for task in dispatched] == [last, last]
+    assert sum(len(task.seeds) for task in dispatched) == TRIALS
     assert _outcomes(resumed) == _outcomes(clean_result)
+    assert resumed.cache_hits == len(grid) - 1
 
 
-def test_resume_of_complete_journal_dispatches_nothing(
+def test_interrupt_without_cache_says_nothing_was_kept(grid, monkeypatch):
+    def interrupting(task):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", interrupting)
+    for kwargs in ({}, {"precision": 0.5}):
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            _campaign(grid, workers=1, **kwargs)
+        message = str(excinfo.value)
+        assert "nothing was kept" in message
+        assert "cache" not in message
+
+
+def test_rerun_of_complete_campaign_dispatches_nothing(
     grid, clean_result, tmp_path, monkeypatch
 ):
-    journal_path = tmp_path / "campaign.jsonl"
-    first = run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-    )
+    cache = ResultCache(tmp_path / "cache")
+    first = _campaign(grid, workers=1, cache=cache)
 
     def poisoned(task):
-        raise AssertionError("resume must not dispatch journaled work")
+        raise AssertionError("a complete campaign must not dispatch again")
 
     monkeypatch.setattr(campaign_module, "run_protocol_task", poisoned)
-    resumed = run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-        resume=True,
-    )
+    resumed = _campaign(grid, workers=1, cache=cache)
     assert _outcomes(resumed) == _outcomes(first) == _outcomes(clean_result)
 
 
-def test_without_resume_the_journal_is_restarted(grid, tmp_path, monkeypatch):
-    journal_path = tmp_path / "campaign.jsonl"
-    run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-    )
+def _counting_runner(monkeypatch) -> list:
     dispatched: list = []
     real_runner = campaign_module.run_protocol_task
 
@@ -583,45 +505,31 @@ def test_without_resume_the_journal_is_restarted(grid, tmp_path, monkeypatch):
         return real_runner(task)
 
     monkeypatch.setattr(campaign_module, "run_protocol_task", counting)
-    run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-    )
-    assert len(dispatched) == len(grid)  # everything re-ran
+    return dispatched
 
 
-def test_journal_ignores_entries_from_a_different_campaign(grid, tmp_path, monkeypatch):
-    journal_path = tmp_path / "campaign.jsonl"
-    run_campaign(
-        grid,
-        trials=TRIALS,
-        max_steps=MAX_STEPS,
-        seed=ROOT_SEED,
-        workers=1,
-        journal_path=journal_path,
-    )
-    dispatched: list = []
-    real_runner = campaign_module.run_protocol_task
+def test_rerun_without_cache_dispatches_everything(grid, monkeypatch):
+    _campaign(grid, workers=1)
+    dispatched = _counting_runner(monkeypatch)
+    _campaign(grid, workers=1)
+    assert len(dispatched) == len(grid)  # nothing was kept, everything re-ran
 
-    def counting(task):
-        dispatched.append(task)
-        return real_runner(task)
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", counting)
-    # Same journal, different root seed: keys cannot match, so resume
-    # re-runs everything instead of serving stale outcomes.
+def test_cache_resume_ignores_entries_from_a_different_campaign(
+    grid, tmp_path, monkeypatch
+):
+    cache = ResultCache(tmp_path / "cache")
+    _campaign(grid, workers=1, cache=cache)
+    dispatched = _counting_runner(monkeypatch)
+    # Same cache, different root seed: keys cannot match, so the re-run
+    # computes everything instead of serving stale outcomes.
     run_campaign(
         grid,
         trials=TRIALS,
         max_steps=MAX_STEPS,
         seed=ROOT_SEED + 1,
         workers=1,
-        journal_path=journal_path,
-        resume=True,
+        cache=cache,
     )
     assert len(dispatched) == len(grid)
 
@@ -745,14 +653,6 @@ def test_cli_cache_info_and_prune(tmp_path, capsys):
     assert current.info()["entries"] == 1
 
 
-def test_cli_resume_requires_journal(capsys):
-    code = _cli(
-        ["protocol-sweep", "--systems", "s0", "--trials", "2", "--resume"]
-    )
-    assert code == 2
-    assert "--resume needs --journal" in capsys.readouterr().err
-
-
 def test_cli_supervised_chaos_sweep_with_manifest(tmp_path, capsys):
     manifest_path = tmp_path / "failures.json"
     code = _cli(
@@ -780,27 +680,42 @@ def test_cli_supervised_chaos_sweep_with_manifest(tmp_path, capsys):
     assert manifest["retries"] >= 1 and manifest["quarantined"] == 0
 
 
-def test_cli_journal_resume_dispatches_nothing(tmp_path, monkeypatch, capsys):
-    journal_path = tmp_path / "sweep.jsonl"
-    common = [
-        "protocol-sweep",
-        "--systems",
-        "s0",
-        "--schemes",
-        "po",
-        "--trials",
-        "2",
-        "--max-steps",
-        "20",
-        "--no-cache",
-        "--journal",
-        str(journal_path),
-    ]
+_CLI_SWEEP = [
+    "protocol-sweep",
+    "--systems",
+    "s0",
+    "--schemes",
+    "po",
+    "--trials",
+    "2",
+    "--max-steps",
+    "20",
+]
+
+
+def test_cli_cache_resume_dispatches_nothing(tmp_path, monkeypatch, capsys):
+    common = [*_CLI_SWEEP, "--cache-dir", str(tmp_path / "cache")]
     assert _cli(common) == 0
 
     def poisoned(task):
-        raise AssertionError("CLI --resume must not dispatch journaled work")
+        raise AssertionError("a cached re-run must not dispatch finished work")
 
     monkeypatch.setattr(campaign_module, "run_protocol_task", poisoned)
-    assert _cli([*common, "--resume"]) == 0
-    capsys.readouterr()
+    assert _cli(common) == 0
+    assert "result cache: 1 hits, 0 misses" in capsys.readouterr().out
+
+
+def test_cli_interrupt_hint_names_the_cache_only_when_set(
+    tmp_path, monkeypatch, capsys
+):
+    def interrupting(task):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
+    assert _cli([*_CLI_SWEEP, "--cache-dir", str(tmp_path / "cache")]) == 130
+    err = capsys.readouterr().err
+    assert "re-run the same command with the same --cache-dir to resume" in err
+    assert _cli([*_CLI_SWEEP, "--no-cache"]) == 130
+    err = capsys.readouterr().err
+    assert "nothing was kept" in err
+    assert "--cache-dir" not in err
