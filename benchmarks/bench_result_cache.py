@@ -25,7 +25,6 @@ import json
 import pathlib
 import time
 
-import repro.core.campaign as campaign_module
 import repro.core.experiment as experiment_module
 from repro.cli import main
 from repro.reporting.tables import render_table
@@ -71,18 +70,13 @@ def bench_result_cache(
     # Warm leg: every grid point must replay from disk — poison the task
     # runner so any dispatch attempt fails loudly instead of silently
     # recomputing.
-    originals = (
-        campaign_module.run_protocol_task,
-        experiment_module.run_protocol_task,
-    )
-    campaign_module.run_protocol_task = _poisoned_task_runner
+    original = experiment_module.run_protocol_task
     experiment_module.run_protocol_task = _poisoned_task_runner
     try:
         warm_s = _sweep([*common, "--output", str(records["warm"])])
         rerun_s = _sweep([*common, "--output", str(records["rerun"])])
     finally:
-        campaign_module.run_protocol_task = originals[0]
-        experiment_module.run_protocol_task = originals[1]
+        experiment_module.run_protocol_task = original
 
     cold = json.loads(records["cold"].read_text())
     warm = json.loads(records["warm"].read_text())

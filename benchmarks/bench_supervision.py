@@ -28,7 +28,6 @@ import json
 import pathlib
 import time
 
-import repro.core.campaign as campaign_module
 import repro.core.experiment as experiment_module
 from repro.cli import main
 from repro.mc.executor import derive_point_seed
@@ -159,17 +158,12 @@ def bench_supervision(
     # every grid point from disk.
     cached = [*base, "--cache-dir", str(tmp_path / "campaign-cache")]
     _sweep([*cached, "--output", str(records["first"])])
-    originals = (
-        campaign_module.run_protocol_task,
-        experiment_module.run_protocol_task,
-    )
-    campaign_module.run_protocol_task = _poisoned_task_runner
+    original = experiment_module.run_protocol_task
     experiment_module.run_protocol_task = _poisoned_task_runner
     try:
         resume_s = _sweep([*cached, "--output", str(records["resumed"])])
     finally:
-        campaign_module.run_protocol_task = originals[0]
-        experiment_module.run_protocol_task = originals[1]
+        experiment_module.run_protocol_task = original
     first = json.loads(records["first"].read_text())
     resumed = json.loads(records["resumed"].read_text())
     assert resumed["cache"] == {"hits": GRID_POINTS, "misses": 0}

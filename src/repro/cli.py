@@ -48,7 +48,6 @@ from .core.campaign import (
     campaign_grid,
     campaign_record,
     run_campaign,
-    run_scenario_campaign,
 )
 from .core.experiment import estimate_protocol_lifetime
 from .core.specs import SystemClass, SystemSpec
@@ -108,7 +107,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -116,6 +115,10 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         help="result-cache root (default: $REPRO_CACHE_DIR, falling back "
         f"to {DEFAULT_CACHE_DIR})",
     )
+
+
+def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_cache_dir_argument(parser)
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -124,13 +127,13 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The result cache a campaign command should run with.
+    """The result cache a command should run with (or inspect).
 
-    Resolution order: ``--no-cache`` disables caching outright; then
-    ``--cache-dir``; then ``REPRO_CACHE_DIR``; then the default
-    under ``~/.cache``.
+    Resolution order: ``--no-cache`` (campaign commands only) disables
+    caching outright; then ``--cache-dir``; then ``REPRO_CACHE_DIR``;
+    then the default under ``~/.cache``.
     """
-    if args.no_cache:
+    if getattr(args, "no_cache", False):
         return None
     root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     if root is None:
@@ -244,8 +247,8 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="append orchestration phase spans (prepare/dispatch/fold) "
-        "as JSONL to PATH",
+        help="append orchestration phase spans as JSONL to PATH: one "
+        "prepare/dispatch/fold triple per campaign round",
     )
 
 
@@ -291,6 +294,45 @@ def _report_interrupt(exc: CampaignInterrupted, cache: Optional[ResultCache]) ->
         hint = "--no-cache: nothing was kept, so a re-run starts over"
     print(hint, file=sys.stderr)
     return 130
+
+
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by the campaign commands (protocol-sweep, scenario run)."""
+    parser.add_argument("--trials", type=int, default=20, help="seeds per grid point")
+    parser.add_argument("--max-steps", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="fan the whole campaign across N processes (-1 = all cores)",
+    )
+    parser.add_argument(
+        "--precision",
+        type=float,
+        default=None,
+        help="per-point target relative 95%% CI half-width (early stopping "
+        "instead of --trials)",
+    )
+    parser.add_argument(
+        "--estimator",
+        choices=["mc", "splitting", "auto"],
+        default="mc",
+        help="per-point estimator: plain Monte-Carlo, rare-event "
+        "multilevel splitting, or auto (switch to splitting on "
+        "censor-heavy points)",
+    )
+    parser.add_argument(
+        "--output",
+        default=None,
+        metavar="PATH",
+        help="persist the campaign as diffable JSON (schema mirrors the "
+        "bench records under benchmarks/results/; scenario campaigns "
+        "embed their full spec)",
+    )
+    _add_cache_arguments(parser)
+    _add_supervision_arguments(parser)
+    _add_telemetry_arguments(parser)
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
@@ -492,27 +534,28 @@ def _write_campaign_record(record: dict, output: str) -> int:
     return 0
 
 
-def cmd_protocol_sweep(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario) if args.scenario else None
-    if scenario is not None:
-        # The scenario declares its own grid and timing; an explicit
-        # --timing still overrides the preset for what-if sweeps.
-        specs = scenario.grid()
-        timing_preset = args.timing or scenario.timing
-        entropy_bits = scenario.entropy_bits
+def _campaign_method(args: argparse.Namespace) -> str:
+    if args.precision is not None:
+        method = f"precision {args.precision:g} rel. CI"
     else:
-        specs = campaign_grid(
-            systems=[SystemClass[s.upper()] for s in args.systems],
-            schemes=[Scheme[s.upper()] for s in args.schemes],
-            alphas=args.alphas,
-            kappas=args.kappas,
-            entropy_bits=args.entropy_bits,
-        )
-        timing_preset = args.timing or "paper"
-        entropy_bits = args.entropy_bits
-    timing = TimingSpec.named(timing_preset)
-    if args.profile:
-        return _profile_grid_point(specs[0], args, timing, scenario=scenario)
+        method = f"{args.trials} seeds/point"
+    if args.estimator != "mc":
+        method += f", estimator={args.estimator}"
+    return method
+
+
+def _run_campaign_command(
+    args: argparse.Namespace,
+    specs: list[SystemSpec],
+    heading: str,
+    *,
+    label: str,
+    timing_preset: str,
+    scenario=None,
+    **options,
+) -> int:
+    """Run, report and persist one campaign (``protocol-sweep``,
+    ``scenario run``); ``options`` pass through to :func:`run_campaign`."""
     cache = _resolve_cache(args)
     supervision, chaos = _resolve_supervision(args)
     if args.trace_out is not None:
@@ -525,35 +568,26 @@ def cmd_protocol_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             workers=args.workers,
             precision=args.precision,
-            timing=timing,
             scenario=scenario,
             cache=cache,
             estimator=args.estimator,
             supervision=supervision,
             chaos=chaos,
             manifest_path=args.failure_manifest,
-            progress=_telemetry_progress(args, "protocol-sweep"),
+            progress=_telemetry_progress(args, label),
+            **options,
         )
     except CampaignInterrupted as exc:
         return _report_interrupt(exc, cache)
     finally:
         if args.trace_out is not None:
             disable_tracing()
-    if args.precision is not None:
-        method = f"precision {args.precision:g} rel. CI"
-    else:
-        method = f"{args.trials} seeds/point"
-    if args.estimator != "mc":
-        method += f", estimator={args.estimator}"
-    via = f"scenario={scenario.name}, " if scenario is not None else ""
     print(
         render_campaign_table(
             result.estimates,
             title=(
-                f"Protocol campaign ({via}{method}, budget {args.max_steps} "
-                f"steps, chi=2^{entropy_bits}, timing={timing_preset}): "
-                f"{len(result)} grid points, {result.total_runs} runs, "
-                f"{result.total_censored} censored"
+                f"{heading}: {len(result)} grid points, {result.total_runs} "
+                f"runs, {result.total_censored} censored"
             ),
         )
     )
@@ -565,13 +599,56 @@ def cmd_protocol_sweep(args: argparse.Namespace) -> int:
     if args.output is not None:
         record = campaign_record(
             result,
-            timing=timing,
+            timing=TimingSpec.named(timing_preset),
             timing_preset=timing_preset,
             scenario=scenario,
             metrics=metrics,
         )
         return _write_campaign_record(record, args.output)
     return 0
+
+
+def cmd_protocol_sweep(args: argparse.Namespace) -> int:
+    options = {}
+    scenario = get_scenario(args.scenario) if args.scenario else None
+    if scenario is not None:
+        # The scenario declares its own grid and timing; an explicit
+        # --timing still overrides the preset for what-if sweeps, as a
+        # scenario edit, so the record and cache key say what ran.
+        if args.timing is not None:
+            scenario = scenario.replace(timing=args.timing)
+        specs = scenario.grid()
+        timing_preset = scenario.timing
+        entropy_bits = scenario.entropy_bits
+    else:
+        specs = campaign_grid(
+            systems=[SystemClass[s.upper()] for s in args.systems],
+            schemes=[Scheme[s.upper()] for s in args.schemes],
+            alphas=args.alphas,
+            kappas=args.kappas,
+            entropy_bits=args.entropy_bits,
+        )
+        timing_preset = args.timing or "paper"
+        entropy_bits = args.entropy_bits
+        options["timing"] = TimingSpec.named(timing_preset)
+    if args.profile:
+        return _profile_grid_point(
+            specs[0], args, TimingSpec.named(timing_preset), scenario=scenario
+        )
+    via = f"scenario={scenario.name}, " if scenario is not None else ""
+    heading = (
+        f"Protocol campaign ({via}{_campaign_method(args)}, budget "
+        f"{args.max_steps} steps, chi=2^{entropy_bits}, timing={timing_preset})"
+    )
+    return _run_campaign_command(
+        args,
+        specs,
+        heading,
+        label="protocol-sweep",
+        timing_preset=timing_preset,
+        scenario=scenario,
+        **options,
+    )
 
 
 def cmd_scenario_list(args: argparse.Namespace) -> int:
@@ -605,77 +682,26 @@ def cmd_scenario_show(args: argparse.Namespace) -> int:
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.name)
-    cache = _resolve_cache(args)
-    supervision, chaos = _resolve_supervision(args)
-    if args.trace_out is not None:
-        enable_tracing(args.trace_out)
-    try:
-        result = run_scenario_campaign(
-            scenario,
-            trials=args.trials,
-            max_steps=args.max_steps,
-            seed=args.seed,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            precision=args.precision,
-            cache=cache,
-            estimator=args.estimator,
-            supervision=supervision,
-            chaos=chaos,
-            manifest_path=args.failure_manifest,
-            progress=_telemetry_progress(args, scenario.name),
-        )
-    except CampaignInterrupted as exc:
-        return _report_interrupt(exc, cache)
-    finally:
-        if args.trace_out is not None:
-            disable_tracing()
-    if args.precision is not None:
-        method = f"precision {args.precision:g} rel. CI"
-    else:
-        method = f"{args.trials} seeds/point"
-    if args.estimator != "mc":
-        method += f", estimator={args.estimator}"
-    print(
-        render_campaign_table(
-            result.estimates,
-            title=(
-                f"Scenario {scenario.name} ({method}, budget {args.max_steps} "
-                f"steps, timing={scenario.timing}, "
-                f"adversary={scenario.adversary.kind}, "
-                f"faults={scenario.faults.kind}, "
-                f"workload={scenario.workload.kind}): "
-                f"{len(result)} grid points, {result.total_runs} runs, "
-                f"{result.total_censored} censored"
-            ),
-        )
+    heading = (
+        f"Scenario {scenario.name} ({_campaign_method(args)}, budget "
+        f"{args.max_steps} steps, timing={scenario.timing}, "
+        f"adversary={scenario.adversary.kind}, "
+        f"faults={scenario.faults.kind}, "
+        f"workload={scenario.workload.kind})"
     )
-    _print_cache_summary(cache)
-    _print_supervision_summary(result, args.failure_manifest)
-    metrics = _emit_metrics(result, args)
-    if args.trace_out is not None:
-        print(f"span trace appended to {args.trace_out}")
-    if args.output is not None:
-        record = campaign_record(
-            result,
-            timing=scenario.timing_spec(),
-            timing_preset=scenario.timing,
-            scenario=scenario,
-            metrics=metrics,
-        )
-        return _write_campaign_record(record, args.output)
-    return 0
-
-
-def _cache_for_inspection(args: argparse.Namespace) -> ResultCache:
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if root is None:
-        root = DEFAULT_CACHE_DIR.expanduser()
-    return ResultCache(root)
+    return _run_campaign_command(
+        args,
+        scenario.grid(),
+        heading,
+        label=scenario.name,
+        timing_preset=scenario.timing,
+        scenario=scenario,
+        batch_size=args.batch_size,
+    )
 
 
 def cmd_cache_info(args: argparse.Namespace) -> int:
-    cache = _cache_for_inspection(args)
+    cache = _resolve_cache(args)
     info = cache.info()
     rows = [
         ["root", info["root"]],
@@ -691,7 +717,7 @@ def cmd_cache_info(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_prune(args: argparse.Namespace) -> int:
-    cache = _cache_for_inspection(args)
+    cache = _resolve_cache(args)
     pruned = cache.prune()
     print(
         f"pruned {pruned['removed']} stale entries "
@@ -730,7 +756,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     from . import __version__
 
-    cache = _cache_for_inspection(args)
+    cache = _resolve_cache(args)
     info = cache.info()
     scenarios = all_scenarios()
     rows = [
@@ -863,30 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="indirect-attack grid (S2 points only)",
     )
     p.add_argument("--entropy-bits", type=int, default=8)
-    p.add_argument("--trials", type=int, default=20, help="seeds per grid point")
-    p.add_argument("--max-steps", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the whole campaign across N processes (-1 = all cores)",
-    )
-    p.add_argument(
-        "--precision",
-        type=float,
-        default=None,
-        help="per-point target relative 95%% CI half-width (early stopping "
-        "instead of --trials)",
-    )
-    p.add_argument(
-        "--estimator",
-        choices=["mc", "splitting", "auto"],
-        default="mc",
-        help="per-point estimator: plain Monte-Carlo, rare-event "
-        "multilevel splitting, or auto (switch to splitting on "
-        "censor-heavy points)",
-    )
+    _add_campaign_arguments(p)
     p.add_argument(
         "--timing",
         choices=TimingSpec.PRESETS,
@@ -904,21 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(see `repro scenario list`)",
     )
     p.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="persist the campaign as diffable JSON (schema mirrors the "
-        "bench records under benchmarks/results/)",
-    )
-    p.add_argument(
         "--profile",
         action="store_true",
         help="cProfile the first grid point serially (trials seeds) and "
         "print a hotspot table instead of running the sweep",
     )
-    _add_cache_arguments(p)
-    _add_supervision_arguments(p)
-    _add_telemetry_arguments(p)
     p.set_defaults(fn=cmd_protocol_sweep)
 
     p = sub.add_parser(
@@ -936,46 +929,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = action.add_parser("run", help="run one scenario as a campaign")
     q.add_argument("name")
-    q.add_argument("--trials", type=int, default=20, help="seeds per grid point")
-    q.add_argument("--max-steps", type=int, default=300)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the whole campaign across N processes (-1 = all cores)",
-    )
+    _add_campaign_arguments(q)
     q.add_argument(
         "--batch-size",
         type=int,
         default=8,
         help="seeds per dispatched task batch (results are invariant)",
     )
-    q.add_argument(
-        "--precision",
-        type=float,
-        default=None,
-        help="per-point target relative 95%% CI half-width (early stopping "
-        "instead of --trials)",
-    )
-    q.add_argument(
-        "--estimator",
-        choices=["mc", "splitting", "auto"],
-        default="mc",
-        help="per-point estimator: plain Monte-Carlo, rare-event "
-        "multilevel splitting, or auto (switch to splitting on "
-        "censor-heavy points)",
-    )
-    q.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="persist the campaign (with the embedded scenario spec) as "
-        "diffable JSON",
-    )
-    _add_cache_arguments(q)
-    _add_supervision_arguments(q)
-    _add_telemetry_arguments(q)
     q.set_defaults(fn=cmd_scenario_run)
 
     p = sub.add_parser(
@@ -987,25 +947,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = cache_action.add_parser(
         "info", help="entry count, bytes and engine-version breakdown"
     )
-    q.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache root (default: $REPRO_CACHE_DIR, falling back "
-        f"to {DEFAULT_CACHE_DIR})",
-    )
+    _add_cache_dir_argument(q)
     q.set_defaults(fn=cmd_cache_info)
 
     q = cache_action.add_parser(
         "prune", help="delete entries from stale engine versions"
     )
-    q.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache root (default: $REPRO_CACHE_DIR, falling back "
-        f"to {DEFAULT_CACHE_DIR})",
-    )
+    _add_cache_dir_argument(q)
     q.set_defaults(fn=cmd_cache_prune)
 
     p = sub.add_parser("advise", help="SMR or FORTRESS? (paper §7)")
@@ -1018,13 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
         "info",
         help="engine version, cache stats, scenarios and CPU count",
     )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache root (default: $REPRO_CACHE_DIR, falling back "
-        f"to {DEFAULT_CACHE_DIR})",
-    )
+    _add_cache_dir_argument(p)
     p.set_defaults(fn=cmd_info)
 
     return parser

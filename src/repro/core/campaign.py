@@ -1,51 +1,45 @@
 """Protocol-level campaigns: grids of full-deployment lifetime runs.
 
 The protocol analogue of :mod:`repro.mc.sweeps`: a campaign evaluates
-(system × scheme × α × κ) grids of protocol-level lifetimes, fanning
-*every* seed of *every* grid point across worker processes through the
-generic :class:`repro.mc.executor.TaskExecutor` — parallelism spans the
-whole campaign, not one grid point at a time.
+(system × scheme × α × κ) grids of protocol-level lifetimes.  Every
+campaign kind — fixed-count, ``precision=``, ``estimator="splitting"``
+and ``"auto"`` — runs the one round loop of
+:mod:`repro.core.experiment` inside one executor scope: each round fans
+one seed block per still-active grid point across worker processes in
+a single :class:`repro.mc.executor.TaskExecutor` pass, so parallelism
+spans the whole grid, not one grid point at a time.
 
 Determinism contract: every seed is derived before dispatch with
 :func:`repro.mc.executor.derive_point_seed` from the root seed, the grid
 point's index and the trial index, so campaign results are bit-identical
 for any worker count or batch size (including the serial fallback, and
-including mid-campaign pool breakage).
-
-``precision=`` switches each grid point from a fixed seed count to
-CI-width-targeted early stopping (see
-:func:`repro.core.experiment.estimate_protocol_lifetime` for the
-censoring rules that guard it).
+including mid-campaign pool breakage), and each grid point's estimate
+equals :func:`~repro.core.experiment.estimate_protocol_lifetime` run on
+that point alone with the same seeds.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cache import ResultCache
 from ..errors import ConfigurationError, ReproError
 from ..randomization.obfuscation import Scheme
-from ..supervision.policy import Quarantined, SupervisionPolicy, TaskFailure
+from ..supervision.policy import SupervisionPolicy, TaskFailure
 from ..supervision.signals import deliver_sigterm_as_interrupt
 from ..telemetry.registry import MetricsRegistry, MetricsSnapshot, fold_run_metrics
-from ..telemetry.spans import span
 from .experiment import (
     DEFAULT_MAX_CENSORED,
     DEFAULT_SEED_BATCH,
-    CensoredPrecisionError,
     LifetimeEstimate,
-    ProtocolTask,
     _aggregate,
-    _batched,
-    _cache_fetch,
-    _outcome_block_payload,
-    _outcome_payload,
-    estimate_protocol_lifetime,
-    run_protocol_task,
+    _estimate_points,
+    _Point,
 )
 from .specs import SystemClass, SystemSpec
 from .timing import TimingSpec
@@ -345,6 +339,52 @@ def _kept_note(cache: Optional[ResultCache]) -> str:
     return "completed grid points are in the result cache"
 
 
+def _reported_estimates(points: list[_Point]) -> list[LifetimeEstimate]:
+    """The finished points' estimates, in grid order.
+
+    The one place a campaign turns precision refusal and quarantine into
+    warnings.  A refused point keeps the runs it already simulated as an
+    unconverged lower-bound estimate (censored runs burn the whole step
+    budget — the last thing to do is simulate them twice); a point that
+    lost tasks estimates from its surviving runs; a point with none is
+    dropped.  Points an interrupt left unfinished are skipped.
+    """
+    estimates = []
+    for i, point in enumerate(points):
+        spec = point.spec
+        if not point.done or point.split:
+            continue
+        if point.refused is not None:
+            warnings.warn(
+                f"campaign point {i} refused its precision target "
+                f"({point.refused}); reporting the {len(point.outcomes)} runs "
+                "already simulated as a lower-bound estimate instead",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            estimates.append(_aggregate(spec, point.outcomes, converged=False))
+            continue
+        if point.estimate is None:
+            warnings.warn(
+                f"grid point {i} ({spec.label}) was fully quarantined; "
+                "dropped from the campaign estimates (see the failure "
+                "manifest)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            continue
+        if point.lost:
+            warnings.warn(
+                f"grid point {i} ({spec.label}) lost quarantined "
+                f"tasks; its estimate uses the {point.estimate.stats.n} "
+                "surviving runs (see the failure manifest)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        estimates.append(point.estimate)
+    return estimates
+
+
 def run_campaign(
     specs: Sequence[SystemSpec],
     trials: int = 20,
@@ -369,31 +409,37 @@ def run_campaign(
 ) -> CampaignResult:
     """Protocol-level lifetimes for every spec of a campaign grid.
 
-    Fixed-count campaigns flatten all (spec, seed-batch) tasks into one
-    executor pass, so workers stay busy across grid-point boundaries;
-    ``precision=`` campaigns stream each grid point through
-    :func:`~repro.core.experiment.estimate_protocol_lifetime` (early
-    stopping needs the accumulating CI between rounds).  ``scenario``
-    composes every run through the scenario runtime (most callers use
+    Every campaign kind runs the same round loop
+    (:func:`repro.core.experiment._estimate_points`) inside one executor
+    scope: each round gathers one seed block per still-active grid point
+    into a single executor pass, so workers stay busy across grid-point
+    boundaries.  A fixed-count point's only block is its whole ``trials``
+    seeds; with ``precision=`` every point streams blocks of
+    :data:`~repro.core.experiment.PRECISION_ROUND_SEEDS` seeds until its
+    own stop rule fires (see
+    :func:`~repro.core.experiment.estimate_protocol_lifetime`), and the
+    points still streaming share each round.  ``scenario`` composes
+    every run through the scenario runtime (most callers use
     :func:`run_scenario_campaign`, which also derives the grid).
 
-    ``cache`` consults a :class:`~repro.cache.ResultCache` per grid
-    point (fixed-count) or per streaming round (precision): cached
-    points skip dispatch entirely — a fully warm fixed-count campaign
-    submits zero tasks — and the result reports hit/miss counts.
-    Because every seed is derived before dispatch, cached and
+    ``cache`` consults a :class:`~repro.cache.ResultCache` per seed
+    block: cached blocks skip dispatch entirely — a fully warm
+    campaign submits zero tasks — and the result reports hit/miss
+    counts.  Because every seed is derived before dispatch, cached and
     recomputed campaigns are bit-identical.  The cache is also the
-    campaign's only durable store: a fixed-count grid point is stored
-    the moment its last task lands, so an interrupted or killed campaign
-    resumes when the same call runs again against the same cache.
+    campaign's only durable store: a block is stored the moment its last
+    task lands, so an interrupted or killed campaign resumes when the
+    same call runs again against the same cache.
 
     ``estimator`` selects how censor-heavy grid points are handled (see
     :func:`~repro.core.experiment.estimate_protocol_lifetime`):
     ``"splitting"`` runs every point through the rare-event engine;
     ``"auto"`` runs plain Monte-Carlo and re-estimates the points whose
     censored fraction exceeds ``max_censored_fraction`` with
-    multilevel splitting (their Monte-Carlo events stay charged to the
-    replacement estimate).
+    multilevel splitting on the same executor (their Monte-Carlo events
+    stay charged to the replacement estimate).  Without ``"auto"``, a
+    precision point that refuses its target is reported, with a warning,
+    as an unconverged lower-bound estimate of the runs already simulated.
 
     ``supervision`` (a :class:`~repro.supervision.SupervisionPolicy`)
     and/or ``chaos`` (a :class:`~repro.supervision.ChaosSpec`) supervise
@@ -405,8 +451,8 @@ def run_campaign(
     exact per-task seeds, a supervised campaign under any recoverable
     fault pattern is bit-identical to the fault-free run; grid points
     that lose tasks to quarantine estimate from the surviving runs (or
-    are dropped, with a warning, when nothing survives) and are never
-    cache-stored.
+    are dropped, with a warning, when nothing survives) and their
+    blocks are never cache-stored.
 
     ``KeyboardInterrupt`` and ``SIGTERM`` raise
     :class:`CampaignInterrupted` carrying the completed grid points.
@@ -416,291 +462,75 @@ def run_campaign(
     lines off the same result path — pure observation, so progress-on
     and progress-off campaigns are bit-identical.
     """
-    from ..mc.executor import TaskExecutor, derive_point_seed  # avoids cycle
+    from ..mc.executor import derive_point_seed  # avoids cycle
 
     start = time.perf_counter()
     specs = list(specs)
     if not specs:
         raise ConfigurationError("campaign needs at least one spec")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if estimator not in ("mc", "splitting", "auto"):
-        raise ConfigurationError(
-            f"estimator must be 'mc', 'splitting' or 'auto', got {estimator!r}"
-        )
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
     executor = _campaign_executor(workers, supervision, chaos)
     manifest = executor.manifest
-
-    def build_result(estimates: list, *, trials_out: int) -> CampaignResult:
-        return CampaignResult(
-            estimates=tuple(estimates),
-            root_seed=seed,
-            trials=trials_out,
-            max_steps=max_steps,
-            cache_hits=cache.hits - hits_before if cache is not None else None,
-            cache_misses=(
-                cache.misses - misses_before if cache is not None else None
-            ),
-            estimator=estimator,
-            wall_seconds=time.perf_counter() - start,
-            supervised=manifest is not None,
-            failures=tuple(manifest.failures) if manifest is not None else (),
-            retries=manifest.retries if manifest is not None else 0,
-            timeouts=manifest.timeouts if manifest is not None else 0,
-        )
-
-    def write_manifest() -> None:
-        if manifest is not None and manifest_path is not None:
-            manifest.write(manifest_path)
-
-    def progress_update(outcomes) -> None:
-        if progress is not None:
-            progress.update(outcomes)
-
-    def progress_finish() -> None:
-        if progress is not None:
-            progress.finish()
-
-    if precision is not None or estimator == "splitting":
-        estimates = []
-        # One pool serves every grid point — paying pool startup per
-        # point would swamp the parallel speedup on larger grids.
-        # (Pure-splitting campaigns stream per point too: each point is
-        # one folded estimate, not a flat fan-out of seed batches.)
-        trials_out = 0 if precision is not None else trials
-        if progress is not None:
-            progress.begin(None)  # streaming rounds: no fixed run count
-        try:
-            with deliver_sigterm_as_interrupt(), executor:
-                for i, spec in enumerate(specs):
-                    try:
-                        with span("campaign.point", index=i, label=spec.label):
-                            estimate = estimate_protocol_lifetime(
-                                spec,
-                                trials=trials,
-                                max_steps=max_steps,
-                                batch_size=batch_size,
-                                precision=precision,
-                                min_trials=min_trials,
-                                max_trials=max_trials,
-                                max_censored_fraction=max_censored_fraction,
-                                seed_for=lambda j, i=i: derive_point_seed(
-                                    seed, i, j
-                                ),
-                                executor=executor,
-                                scenario=scenario,
-                                cache=cache,
-                                estimator=estimator,
-                                splitting=splitting,
-                                **build_kwargs,
-                            )
-                    except CensoredPrecisionError as exc:
-                        # One heavily censored grid point must not discard
-                        # the rest of the campaign: keep the outcomes it
-                        # already simulated as an unconverged lower-bound
-                        # estimate (censored runs burn the whole step
-                        # budget — the last thing to do is simulate them
-                        # twice) and move on.  (estimator="auto" never gets
-                        # here — it re-estimates such points by splitting.)
-                        warnings.warn(
-                            f"campaign point {i} refused its precision target "
-                            f"({exc}); reporting the {len(exc.outcomes)} runs "
-                            "already simulated as a lower-bound estimate "
-                            "instead",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        estimate = _aggregate(
-                            spec, list(exc.outcomes), converged=False
-                        )
-                    estimates.append(estimate)
-                    progress_update(estimate.outcomes)
-        except KeyboardInterrupt:
-            progress_finish()
-            write_manifest()
-            raise CampaignInterrupted(
-                f"campaign interrupted with {len(estimates)} of "
-                f"{len(specs)} grid points complete ({_kept_note(cache)})",
-                build_result(estimates, trials_out=trials_out),
-            ) from None
-        progress_finish()
-        write_manifest()
-        return build_result(estimates, trials_out=trials_out)
-
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    points = [
+        _Point(spec, partial(derive_point_seed, seed, i))
+        for i, spec in enumerate(specs)
+    ]
     if progress is not None:
-        progress.begin(len(specs) * trials)
-    frozen_kwargs = tuple(sorted(build_kwargs.items()))
-    tasks: list[ProtocolTask] = []
-    owners: list[int] = []
-    per_spec: list[list] = [[] for _ in specs]
-    # Cache keys of the grid points whose seed block missed; each is
-    # stored as soon as its last task lands.  One entry covers a point's
-    # whole seed block, so a fully warm campaign scores exactly one hit
-    # per grid point — and builds no tasks at all.
-    point_keys: dict[int, str] = {}
-    # Task indices of each grid point, in seed order.
-    point_tasks: dict[int, range] = {}
-    with span("campaign.prepare", grid_points=len(specs), trials=trials):
-        for i, spec in enumerate(specs):
-            point_seeds = [derive_point_seed(seed, i, j) for j in range(trials)]
-            if cache is not None:
-                key = cache.key_for(
-                    _outcome_block_payload(
-                        spec, point_seeds, max_steps, build_kwargs, scenario
-                    )
-                )
-                cached = _cache_fetch(cache, key, spec, point_seeds)
-                if cached is not None:
-                    per_spec[i] = cached
-                    progress_update(cached)
-                    continue
-                point_keys[i] = key
-            first = len(tasks)
-            for batch in _batched(point_seeds, batch_size):
-                tasks.append(
-                    ProtocolTask(
-                        spec=spec,
-                        seeds=batch,
-                        max_steps=max_steps,
-                        build_kwargs=frozen_kwargs,
-                        scenario=scenario,
-                    )
-                )
-                owners.append(i)
-            point_tasks[i] = range(first, len(tasks))
-
-    # Tasks still out per grid point.  A quarantined task never counts
-    # down, so its point is never stored (and reads as incomplete).
-    left = [len(point_tasks.get(i, ())) for i in range(len(specs))]
-    task_results: list = [None] * len(tasks)
-
-    def collect(ti: int, result) -> None:
-        task_results[ti] = result
-        if isinstance(result, Quarantined):
-            return
-        progress_update(result)
-        i = owners[ti]
-        left[i] -= 1
-        if left[i] == 0 and i in point_keys:
-            block = [o for tj in point_tasks[i] for o in task_results[tj]]
-            cache.store(point_keys[i], [_outcome_payload(o) for o in block])
-
-    interrupted = False
-    if tasks:
-        try:
-            with deliver_sigterm_as_interrupt(), span(
-                "campaign.dispatch", tasks=len(tasks)
-            ):
-                executor.map(run_protocol_task, tasks, on_result=collect)
-        except KeyboardInterrupt:
-            interrupted = True
-
-    # Fold task results back per grid point, in task (= seed) order;
-    # quarantined points keep their surviving runs.
-    with span("campaign.fold", tasks=len(task_results)):
-        for ti, result in enumerate(task_results):
-            if result is not None and not isinstance(result, Quarantined):
-                per_spec[owners[ti]].extend(result)
-
-    if interrupted:
-        complete = [i for i in range(len(specs)) if not left[i]]
-        progress_finish()
-        write_manifest()
-        raise CampaignInterrupted(
-            f"campaign interrupted with {len(complete)} of {len(specs)} "
-            f"grid points complete ({_kept_note(cache)})",
-            build_result(
-                [_aggregate(specs[i], per_spec[i]) for i in complete],
-                trials_out=trials,
-            ),
-        ) from None
-
-    # (spec index, estimate) pairs: quarantine can drop grid points, so
-    # the auto re-pass below must not assume estimates align with specs.
-    indexed_estimates: list[tuple[int, LifetimeEstimate]] = []
-    for i, spec in enumerate(specs):
-        if left[i]:
-            if per_spec[i]:
-                warnings.warn(
-                    f"grid point {i} ({spec.label}) lost quarantined "
-                    f"tasks; its estimate uses the {len(per_spec[i])} "
-                    "surviving runs (see the failure manifest)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                warnings.warn(
-                    f"grid point {i} ({spec.label}) was fully quarantined; "
-                    "dropped from the campaign estimates (see the failure "
-                    "manifest)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-        indexed_estimates.append((i, _aggregate(spec, per_spec[i])))
-    if estimator == "auto":
-        needy = [
-            k
-            for k, (_, estimate) in enumerate(indexed_estimates)
-            if estimate.censored_fraction > max_censored_fraction
-        ]
-        if needy:
-            # Censor-heavy points get a second pass through the
-            # rare-event engine; the Monte-Carlo events already spent
-            # stay charged to the replacement estimate so the campaign's
-            # cost accounting is honest.
-            with TaskExecutor(workers) as shared_executor:
-                for k in needy:
-                    i, mc_estimate = indexed_estimates[k]
-                    refined = estimate_protocol_lifetime(
-                        specs[i],
-                        max_steps=max_steps,
-                        seed_for=lambda j, i=i: derive_point_seed(seed, i, j),
-                        executor=shared_executor,
-                        scenario=scenario,
-                        cache=cache,
-                        estimator="splitting",
-                        splitting=splitting,
-                        **build_kwargs,
-                    )
-                    indexed_estimates[k] = (
-                        i,
-                        replace(
-                            refined, events=refined.events + mc_estimate.events
-                        ),
-                    )
-    progress_finish()
-    write_manifest()
-    return build_result(
-        [estimate for _, estimate in indexed_estimates], trials_out=trials
+        # Only a plain fixed-count campaign knows its run count upfront.
+        fixed = precision is None and estimator == "mc"
+        progress.begin(len(specs) * trials if fixed else None)
+    try:
+        with deliver_sigterm_as_interrupt(), executor:
+            _estimate_points(
+                executor,
+                points,
+                trials=trials,
+                max_steps=max_steps,
+                batch_size=batch_size,
+                precision=precision,
+                min_trials=min_trials,
+                max_trials=max_trials,
+                max_censored_fraction=max_censored_fraction,
+                scenario=scenario,
+                cache=cache,
+                estimator=estimator,
+                splitting=splitting,
+                build_kwargs=build_kwargs,
+                on_outcomes=progress.update if progress is not None else None,
+            )
+    except KeyboardInterrupt:
+        interrupted = True
+    else:
+        interrupted = False
+    if progress is not None:
+        progress.finish()
+    if manifest is not None and manifest_path is not None:
+        manifest.write(manifest_path)
+    result = CampaignResult(
+        estimates=tuple(_reported_estimates(points)),
+        root_seed=seed,
+        trials=0 if precision is not None else trials,
+        max_steps=max_steps,
+        cache_hits=cache.hits - hits_before if cache is not None else None,
+        cache_misses=cache.misses - misses_before if cache is not None else None,
+        estimator=estimator,
+        wall_seconds=time.perf_counter() - start,
+        supervised=manifest is not None,
+        failures=tuple(manifest.failures) if manifest is not None else (),
+        retries=manifest.retries if manifest is not None else 0,
+        timeouts=manifest.timeouts if manifest is not None else 0,
     )
+    if interrupted:
+        raise CampaignInterrupted(
+            f"campaign interrupted with {len(result)} of {len(specs)} grid "
+            f"points complete ({_kept_note(cache)})",
+            result,
+        ) from None
+    return result
 
 
-def run_scenario_campaign(
-    scenario: "ScenarioSpec",
-    trials: int = 20,
-    max_steps: int = 300,
-    seed: int = 0,
-    *,
-    workers: int | None = None,
-    batch_size: int = DEFAULT_SEED_BATCH,
-    precision: Optional[float] = None,
-    min_trials: int = 20,
-    max_trials: int = 2_000,
-    max_censored_fraction: float = DEFAULT_MAX_CENSORED,
-    cache: Optional[ResultCache] = None,
-    estimator: str = "mc",
-    splitting: "SplittingConfig | None" = None,
-    supervision: Optional[SupervisionPolicy] = None,
-    chaos: "ChaosSpec | None" = None,
-    manifest_path: Path | str | None = None,
-    progress: "ProgressReporter | None" = None,
-    **build_kwargs,
-) -> CampaignResult:
+def run_scenario_campaign(scenario: "ScenarioSpec", *args, **options) -> CampaignResult:
     """Run one named scenario as a protocol campaign.
 
     The grid comes from the scenario itself
@@ -708,28 +538,8 @@ def run_scenario_campaign(
     composed by the scenario runtime: scenario timing, adversary
     strategy, per-seed fault plan, workload.  The scenario travels
     inside each :class:`~repro.core.experiment.ProtocolTask`, so the
-    whole campaign fans out through the same
-    :class:`~repro.mc.executor.TaskExecutor` machinery with the same
+    whole campaign fans out through the same round loop with the same
     worker/batch-invariant per-seed derivation as a plain campaign.
+    Positional and keyword arguments are those of :func:`run_campaign`.
     """
-    return run_campaign(
-        scenario.grid(),
-        trials=trials,
-        max_steps=max_steps,
-        seed=seed,
-        workers=workers,
-        batch_size=batch_size,
-        precision=precision,
-        min_trials=min_trials,
-        max_trials=max_trials,
-        max_censored_fraction=max_censored_fraction,
-        scenario=scenario,
-        cache=cache,
-        estimator=estimator,
-        splitting=splitting,
-        supervision=supervision,
-        chaos=chaos,
-        manifest_path=manifest_path,
-        progress=progress,
-        **build_kwargs,
-    )
+    return run_campaign(scenario.grid(), *args, scenario=scenario, **options)

@@ -7,14 +7,18 @@ step budget is exhausted.  Used to validate the fast Monte-Carlo models
 and the analytic lifetimes against an implementation that actually
 exchanges protocol messages, crashes processes and reboots nodes.
 
-The estimator runs on the generic task fan-out of
-:class:`repro.mc.executor.TaskExecutor`: seeds are derived *before*
-dispatch and grouped into :class:`ProtocolTask` batches, so estimates
-are bit-identical for any worker count or batch size — including the
-serial fallback.  ``precision=`` switches from a fixed seed count to
-streaming accumulation with CI-width-based early stopping, mirroring
-the Monte-Carlo path.  Censored runs (those that survive the whole step
-budget) are never folded into the mean silently: the estimate carries a
+One round loop (:func:`_estimate_points`) serves both a single
+estimate and every campaign of :mod:`repro.core.campaign`.  Each round
+runs one seed block per still-active point through :func:`_run_blocks`,
+the only code that turns seeds into :class:`ProtocolTask` batches,
+consults the result cache and stores finished blocks; all misses share
+one :class:`repro.mc.executor.TaskExecutor` pass.  Seeds are derived
+*before* dispatch, so estimates are bit-identical for any worker count
+or batch size — including the serial fallback.  ``precision=`` switches
+a point from one fixed-count block to streaming rounds with CI-width
+early stopping, mirroring the Monte-Carlo path.  Censored runs (those
+that survive the whole step budget) are never folded into the mean
+silently: the estimate carries a
 :class:`~repro.metrics.stats.CensoredSummary` and early stopping refuses
 to run on samples whose censored fraction makes the CI meaningless.
 """
@@ -24,14 +28,15 @@ from __future__ import annotations
 import gc
 import warnings
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from ..cache import ResultCache
 from ..errors import AnalysisError, ConfigurationError
 from ..metrics.stats import CensoredSummary, SummaryStats, summarize_censored
 from ..supervision.policy import Quarantined
 from ..telemetry.registry import RunMetrics
+from ..telemetry.spans import span
 from .builders import DeployedSystem, add_clients, attach_attacker, build_system
 from .specs import SystemSpec
 
@@ -505,107 +510,349 @@ def _cache_fetch(
         return None
 
 
-def _dispatch(
-    executor: TaskExecutor,
-    spec: SystemSpec,
-    seeds: list[int],
+
+
+# ----------------------------------------------------------------------
+# The round loop
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
+class _Block:
+    """One (spec × seed block) of a round: the unit of cache lookup and store.
+
+    ``batches`` holds one slot per dispatched task — or the one decoded
+    cache hit — in seed order.  ``left`` counts the tasks still out; a
+    quarantined task never counts down, so a block with holes is never
+    complete and never stored.
+    """
+
+    spec: SystemSpec
+    seeds: list[int]
+    batches: list = field(default_factory=list)
+    left: int = 0
+    key: Optional[str] = None
+
+    @property
+    def landed(self) -> bool:
+        """Every slot holds a result (quarantine markers included)."""
+        return bool(self.batches) and None not in self.batches
+
+    @property
+    def lost(self) -> bool:
+        return any(isinstance(batch, Quarantined) for batch in self.batches)
+
+    @property
+    def outcomes(self) -> list[LifetimeOutcome]:
+        """The surviving outcomes, in seed order."""
+        return [
+            outcome
+            for batch in self.batches
+            if batch is not None and not isinstance(batch, Quarantined)
+            for outcome in batch
+        ]
+
+
+def _run_blocks(
+    executor: "TaskExecutor",
+    blocks: list[_Block],
+    *,
     max_steps: int,
     batch_size: int,
     build_kwargs: dict,
-    scenario: "ScenarioSpec | None" = None,
-    cache: Optional[ResultCache] = None,
-) -> list[LifetimeOutcome]:
-    """Run ``seeds`` through the executor as :class:`ProtocolTask` batches.
-
-    With ``cache`` set, the whole seed block is looked up first — a hit
-    skips dispatch entirely — and freshly computed blocks are stored for
-    the next run.
-    """
-    key: Optional[str] = None
-    if cache is not None:
-        key = cache.key_for(
-            _outcome_block_payload(spec, seeds, max_steps, build_kwargs, scenario)
-        )
-        cached = _cache_fetch(cache, key, spec, seeds)
-        if cached is not None:
-            return cached
-    frozen_kwargs = tuple(sorted(build_kwargs.items()))
-    tasks = [
-        ProtocolTask(
-            spec=spec,
-            seeds=batch,
-            max_steps=max_steps,
-            build_kwargs=frozen_kwargs,
-            scenario=scenario,
-        )
-        for batch in _batched(seeds, batch_size)
-    ]
-    outcomes: list[LifetimeOutcome] = []
-    quarantined = 0
-    for batch_outcomes in executor.map(run_protocol_task, tasks):
-        if isinstance(batch_outcomes, Quarantined):
-            # A supervised executor quarantined this batch: the estimate
-            # proceeds on the surviving seeds (the executor already
-            # manifested the loss); never cache a block with holes.
-            quarantined += 1
-            continue
-        outcomes.extend(batch_outcomes)
-    if cache is not None and key is not None and quarantined == 0:
-        cache.store(key, [_outcome_payload(o) for o in outcomes])
-    return outcomes
-
-
-def _splitting_estimate(
-    spec: SystemSpec,
-    *,
-    max_steps: int,
-    root_seed: int,
-    config: "SplittingConfig | None",
-    executor: "TaskExecutor | None",
-    workers: int | None,
     scenario: "ScenarioSpec | None",
     cache: Optional[ResultCache],
-    build_kwargs: dict,
-    extra_events: int = 0,
-) -> LifetimeEstimate:
-    """Wrap a multilevel-splitting run as a :class:`LifetimeEstimate`.
+    on_outcomes: Optional[Callable[[Sequence[LifetimeOutcome]], None]],
+) -> None:
+    """Run one round: every block's seeds through one executor pass.
 
-    The estimate's ``outcomes``/``stats`` come from the splitting pilot
-    wave — plain unconditioned runs, bit-identical to what ``"mc"``
-    would produce for those seeds — while :attr:`LifetimeEstimate.rare`
-    carries the folded rare-event probability.  ``extra_events``
-    accounts for Monte-Carlo work a preceding ``"auto"`` attempt spent
-    before switching.
+    The only place seeds become :class:`ProtocolTask` batches.  With
+    ``cache`` set each block is looked up first — a hit fills it without
+    dispatch, so a fully warm round submits nothing — and every miss
+    joins the same ``executor.map``.  A block is stored from the result
+    callback the moment its last task lands, so an interrupt loses only
+    the blocks still in flight.  ``on_outcomes`` observes every landed
+    batch and every cache hit (live progress).
     """
-    from ..rare.splitting import run_splitting  # deferred: layering
+    frozen_kwargs = tuple(sorted(build_kwargs.items()))
+    tasks: list[ProtocolTask] = []
+    slots: list[tuple[_Block, int]] = []
+    with span("campaign.prepare", grid_points=len(blocks), trials=len(blocks[0].seeds)):
+        for block in blocks:
+            if cache is not None:
+                block.key = cache.key_for(
+                    _outcome_block_payload(
+                        block.spec, block.seeds, max_steps, build_kwargs, scenario
+                    )
+                )
+                cached = _cache_fetch(cache, block.key, block.spec, block.seeds)
+                if cached is not None:
+                    block.batches = [cached]
+                    if on_outcomes is not None:
+                        on_outcomes(cached)
+                    continue
+            for batch in _batched(block.seeds, batch_size):
+                slots.append((block, len(block.batches)))
+                block.batches.append(None)
+                tasks.append(
+                    ProtocolTask(
+                        spec=block.spec,
+                        seeds=batch,
+                        max_steps=max_steps,
+                        build_kwargs=frozen_kwargs,
+                        scenario=scenario,
+                    )
+                )
+            block.left = len(block.batches)
 
-    rare = run_splitting(
-        spec,
-        root_seed=root_seed,
-        max_steps=max_steps,
-        config=config,
-        executor=executor,
-        workers=workers,
-        scenario=scenario,
-        cache=cache,
-        **build_kwargs,
+    def collect(index: int, result) -> None:
+        block, slot = slots[index]
+        block.batches[slot] = result
+        if isinstance(result, Quarantined):
+            return
+        if on_outcomes is not None:
+            on_outcomes(result)
+        block.left -= 1
+        if block.left == 0 and block.key is not None:
+            cache.store(block.key, [_outcome_payload(o) for o in block.outcomes])
+
+    if tasks:
+        with span("campaign.dispatch", tasks=len(tasks)):
+            executor.map(run_protocol_task, tasks, on_result=collect)
+
+
+@dataclass(eq=False)
+class _Point:
+    """One estimate's progress through the round loop.
+
+    ``next_seed`` is the index of the next seed to dispatch.  It is
+    tracked here and never re-derived from how many outcomes survived,
+    so a seed whose batch was quarantined is never run again under a
+    later round.
+    """
+
+    spec: SystemSpec
+    seed_for: Callable[[int], int]
+    outcomes: list[LifetimeOutcome] = field(default_factory=list)
+    next_seed: int = 0
+    lost: bool = False  # supervision quarantined some of its work
+    warned: bool = False  # the censored-lower-bound warning went out
+    done: bool = False  # out of the Monte-Carlo rounds
+    split: bool = False  # waiting for the splitting pass
+    refused: Optional[CensoredPrecisionError] = None
+    estimate: Optional[LifetimeEstimate] = None
+
+
+def _check_options(
+    *,
+    trials: int,
+    batch_size: int,
+    precision: Optional[float],
+    min_trials: int,
+    max_trials: int,
+    max_censored_fraction: float,
+    estimator: str,
+) -> None:
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if estimator not in ("mc", "splitting", "auto"):
+        raise ConfigurationError(
+            f"estimator must be 'mc', 'splitting' or 'auto', got {estimator!r}"
+        )
+    if not 0.0 < max_censored_fraction <= 1.0:
+        raise ConfigurationError(
+            "max_censored_fraction must be in (0, 1], got "
+            f"{max_censored_fraction}"
+        )
+    if estimator == "splitting":
+        return
+    if precision is None:
+        if trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        return
+    if precision <= 0:
+        raise ConfigurationError(f"precision must be positive, got {precision}")
+    if not 2 <= min_trials <= max_trials:
+        raise ConfigurationError(
+            f"need 2 <= min_trials <= max_trials, got {min_trials}, {max_trials}"
+        )
+
+
+def _fold_block(
+    point: _Point,
+    block: _Block,
+    *,
+    max_steps: int,
+    precision: Optional[float],
+    min_trials: int,
+    max_trials: int,
+    max_censored_fraction: float,
+    estimator: str,
+) -> None:
+    """Fold one landed block into its point and apply the stop rules."""
+    point.outcomes.extend(block.outcomes)
+    point.lost = point.lost or block.lost
+    point.next_seed += len(block.seeds)
+    spec, outcomes = point.spec, point.outcomes
+    converged = precision is None
+    if precision is not None and len(outcomes) >= min_trials:
+        estimate = _aggregate(spec, outcomes, converged=False)
+        if estimate.censored_fraction > max_censored_fraction:
+            point.done = True
+            if estimator == "auto":
+                point.split = True
+                return
+            point.refused = CensoredPrecisionError(
+                f"{spec.label}: {estimate.censored} of {estimate.stats.n} "
+                f"protocol runs were censored at the {max_steps}-step "
+                f"budget (fraction {estimate.censored_fraction:.2f} > "
+                f"{max_censored_fraction:.2f}); the requested precision "
+                "target is meaningless — raise max_steps or drop "
+                "precision=",
+                outcomes=tuple(outcomes),
+            )
+            return
+        if estimate.censored and not point.warned:
+            warnings.warn(
+                f"{spec.label}: {estimate.censored} of {estimate.stats.n} "
+                "protocol runs censored at the step budget; the mean and "
+                "CI are lower bounds on the true lifetime",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            point.warned = True
+        scale = max(abs(estimate.stats.mean), 1e-300)
+        converged = estimate.stats.ci_halfwidth <= precision * scale
+    point.done = converged or point.next_seed >= max_trials
+    if not point.done or not outcomes:
+        return  # still streaming, or every run was quarantined
+    estimate = _aggregate(spec, outcomes, converged=converged)
+    if (
+        precision is None
+        and estimator == "auto"
+        and estimate.censored_fraction > max_censored_fraction
+    ):
+        point.split = True
+    else:
+        point.estimate = estimate
+
+
+def _estimate_points(
+    executor: "TaskExecutor",
+    points: list[_Point],
+    *,
+    trials: int,
+    max_steps: int,
+    batch_size: int,
+    precision: Optional[float],
+    min_trials: int,
+    max_trials: int,
+    max_censored_fraction: float,
+    scenario: "ScenarioSpec | None",
+    cache: Optional[ResultCache],
+    estimator: str,
+    splitting: "SplittingConfig | None",
+    build_kwargs: dict,
+    on_outcomes: Optional[Callable[[Sequence[LifetimeOutcome]], None]] = None,
+) -> None:
+    """The round loop behind every protocol estimate and campaign.
+
+    Each round runs one block per still-active point through
+    :func:`_run_blocks` — a fixed-count point's only block is its whole
+    ``trials`` seeds, a precision point's its next
+    :data:`PRECISION_ROUND_SEEDS` — then folds every block into its
+    point and applies the stop rules.  Points that leave the rounds for
+    rare-event splitting (``estimator="splitting"``, or ``"auto"`` on a
+    censor-heavy point) then run on the same executor, charged the
+    Monte-Carlo events they already spent.
+
+    Results land on the points: ``estimate`` (left ``None`` when every
+    run was quarantined), or ``refused`` for a precision point the
+    ``"mc"`` estimator cannot report.  An interrupt still folds the
+    blocks that landed before it propagates.
+    """
+    from ..rare.splitting import SplittingConfig, run_splitting  # layering
+
+    _check_options(
+        trials=trials,
+        batch_size=batch_size,
+        precision=precision,
+        min_trials=min_trials,
+        max_trials=max_trials,
+        max_censored_fraction=max_censored_fraction,
+        estimator=estimator,
     )
-    outcomes = list(rare.pilot_outcomes)
-    censoring = summarize_censored(
-        [float(o.steps) for o in outcomes],
-        [not o.compromised for o in outcomes],
-    )
-    return LifetimeEstimate(
-        spec=spec,
-        stats=censoring.stats,
-        censored=censoring.n_censored,
-        outcomes=tuple(outcomes),
-        censoring=censoring,
-        converged=True,
-        estimator="splitting",
-        rare=rare,
-        events=rare.events + extra_events,
-    )
+    for point in points:
+        point.split = point.done = estimator == "splitting"
+    active = [point for point in points if not point.done]
+    while active:
+        blocks = []
+        for point in active:
+            stop = trials
+            if precision is not None:
+                stop = min(point.next_seed + PRECISION_ROUND_SEEDS, max_trials)
+            seeds = [point.seed_for(j) for j in range(point.next_seed, stop)]
+            blocks.append(_Block(point.spec, seeds))
+        try:
+            _run_blocks(
+                executor,
+                blocks,
+                max_steps=max_steps,
+                batch_size=batch_size,
+                build_kwargs=build_kwargs,
+                scenario=scenario,
+                cache=cache,
+                on_outcomes=on_outcomes,
+            )
+        finally:
+            with span("campaign.fold", grid_points=len(blocks)):
+                for point, block in zip(active, blocks):
+                    if block.landed:
+                        _fold_block(
+                            point,
+                            block,
+                            max_steps=max_steps,
+                            precision=precision,
+                            min_trials=min_trials,
+                            max_trials=max_trials,
+                            max_censored_fraction=max_censored_fraction,
+                            estimator=estimator,
+                        )
+        active = [point for point in active if not point.done]
+
+    needy = [point for point in points if point.split]
+    if not needy:
+        return
+    config = splitting if splitting is not None else SplittingConfig()
+    with span("campaign.dispatch", estimator="splitting", grid_points=len(needy)):
+        for point in needy:
+            rare = run_splitting(
+                point.spec,
+                root_seed=point.seed_for(0),
+                max_steps=max_steps,
+                config=config,
+                executor=executor,
+                scenario=scenario,
+                cache=cache,
+                **build_kwargs,
+            )
+            point.split = False
+            if rare is None:  # no pilot run or replication survived
+                point.lost = True
+                continue
+            point.lost = point.lost or (
+                rare.pilot_runs < config.pilot_runs
+                or rare.replications < config.replications
+            )
+            # The pilot wave is plain unconditioned runs, bit-identical
+            # to what "mc" would produce for those seeds; ``rare``
+            # carries the folded rare-event probability.
+            point.estimate = replace(
+                _aggregate(point.spec, list(rare.pilot_outcomes)),
+                estimator="splitting",
+                rare=rare,
+                events=rare.events + sum(o.events for o in point.outcomes),
+            )
+            if on_outcomes is not None:
+                on_outcomes(point.estimate.outcomes)
 
 
 def estimate_protocol_lifetime(
@@ -630,14 +877,15 @@ def estimate_protocol_lifetime(
 ) -> LifetimeEstimate:
     """Estimate the expected lifetime from independent protocol runs.
 
-    Seeds are ``seed0 + i`` (or ``seed_for(i)`` when given), fixed before
-    dispatch, and the runs fan out across ``workers`` processes in
-    batches of ``batch_size`` seeds — results are bit-identical for any
-    worker count or batch size (in precision mode too: streaming rounds
-    are sized by the constant :data:`PRECISION_ROUND_SEEDS`, never by
-    the fan-out configuration).  Campaign runners can pass a shared
-    ``executor`` to reuse one process pool across many estimates; its
-    lifetime stays theirs.
+    The round loop of :func:`~repro.core.campaign.run_campaign` over one
+    point.  Seeds are ``seed0 + i`` (or ``seed_for(i)`` when given),
+    fixed before dispatch, and the runs fan out across ``workers``
+    processes in batches of ``batch_size`` seeds — results are
+    bit-identical for any worker count or batch size (in precision mode
+    too: streaming rounds are sized by the constant
+    :data:`PRECISION_ROUND_SEEDS`, never by the fan-out configuration).
+    A caller can pass its own ``executor`` to reuse one process pool
+    across many estimates; its lifetime stays the caller's.
 
     With ``precision=`` set, ``trials`` is ignored as a count: rounds of
     seeds stream in until the 95% CI half-width drops below
@@ -675,75 +923,19 @@ def estimate_protocol_lifetime(
     """
     from ..mc.executor import TaskExecutor  # deferred: avoids cycle
 
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if estimator not in ("mc", "splitting", "auto"):
-        raise ConfigurationError(
-            f"estimator must be 'mc', 'splitting' or 'auto', got {estimator!r}"
-        )
-    if not 0.0 < max_censored_fraction <= 1.0:
-        raise ConfigurationError(
-            "max_censored_fraction must be in (0, 1], got "
-            f"{max_censored_fraction}"
-        )
     if seed_for is None:
 
         def seed_for(i: int) -> int:
             return seed0 + i
 
-    owns_executor = executor is None
-    if executor is None:
-        executor = TaskExecutor(workers)
-    if estimator == "splitting":
-        return _splitting_estimate(
-            spec,
-            max_steps=max_steps,
-            root_seed=seed_for(0),
-            config=splitting,
-            executor=None if owns_executor else executor,
-            workers=workers,
-            scenario=scenario,
-            cache=cache,
-            build_kwargs=build_kwargs,
-        )
-    if precision is None:
-        if trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        seeds = [seed_for(i) for i in range(trials)]
-        outcomes = _dispatch(
-            executor, spec, seeds, max_steps, batch_size, build_kwargs, scenario, cache
-        )
-        estimate = _aggregate(spec, outcomes)
-        if (
-            estimator == "auto"
-            and estimate.censored_fraction > max_censored_fraction
-        ):
-            return _splitting_estimate(
-                spec,
-                max_steps=max_steps,
-                root_seed=seed_for(0),
-                config=splitting,
-                executor=None if owns_executor else executor,
-                workers=workers,
-                scenario=scenario,
-                cache=cache,
-                build_kwargs=build_kwargs,
-                extra_events=estimate.events,
-            )
-        return estimate
-
-    if precision <= 0:
-        raise ConfigurationError(f"precision must be positive, got {precision}")
-    if not 2 <= min_trials <= max_trials:
-        raise ConfigurationError(
-            f"need 2 <= min_trials <= max_trials, got {min_trials}, {max_trials}"
-        )
-    try:
-        return _precision_rounds(
-            spec,
+    point = _Point(spec, seed_for)
+    with ExitStack() as stack:
+        if executor is None:
+            executor = stack.enter_context(TaskExecutor(workers))
+        _estimate_points(
             executor,
-            owns_executor,
-            seed_for,
+            [point],
+            trials=trials,
             max_steps=max_steps,
             batch_size=batch_size,
             precision=precision,
@@ -752,95 +944,15 @@ def estimate_protocol_lifetime(
             max_censored_fraction=max_censored_fraction,
             scenario=scenario,
             cache=cache,
+            estimator=estimator,
+            splitting=splitting,
             build_kwargs=build_kwargs,
         )
-    except CensoredPrecisionError as exc:
-        if estimator != "auto":
-            raise
-        # The CI-targeted stopping rule is meaningless on this point;
-        # switch to the rare-event estimator, charging the abandoned
-        # Monte-Carlo rounds to the estimate.
-        return _splitting_estimate(
-            spec,
-            max_steps=max_steps,
-            root_seed=seed_for(0),
-            config=splitting,
-            executor=None if owns_executor else executor,
-            workers=workers,
-            scenario=scenario,
-            cache=cache,
-            build_kwargs=build_kwargs,
-            extra_events=sum(o.events for o in exc.outcomes),
+    if point.refused is not None:
+        raise point.refused
+    if point.estimate is None:
+        raise AnalysisError(
+            f"{spec.label}: supervision quarantined every run; nothing to "
+            "estimate (see the failure manifest)"
         )
-
-
-def _precision_rounds(
-    spec: SystemSpec,
-    executor: "TaskExecutor",
-    owns_executor: bool,
-    seed_for: Callable[[int], int],
-    *,
-    max_steps: int,
-    batch_size: int,
-    precision: float,
-    min_trials: int,
-    max_trials: int,
-    max_censored_fraction: float,
-    scenario: "ScenarioSpec | None",
-    cache: Optional[ResultCache],
-    build_kwargs: dict,
-) -> LifetimeEstimate:
-    """Stream seed rounds until the CI converges (the ``precision=`` path)."""
-    round_size = PRECISION_ROUND_SEEDS
-    outcomes: list[LifetimeOutcome] = []
-    warned_censored = False
-    converged = False
-    # Hold one pool open across the streaming rounds: early stopping
-    # dispatches many small rounds, and paying pool startup per round
-    # would swamp the parallel speedup.  (A caller-supplied executor is
-    # left open — its owner manages the pool's lifetime.)
-    with ExitStack() as stack:
-        if owns_executor:
-            stack.enter_context(executor)
-        while len(outcomes) < max_trials:
-            take = min(round_size, max_trials - len(outcomes))
-            seeds = [seed_for(len(outcomes) + i) for i in range(take)]
-            outcomes.extend(
-                _dispatch(
-                    executor,
-                    spec,
-                    seeds,
-                    max_steps,
-                    batch_size,
-                    build_kwargs,
-                    scenario,
-                    cache,
-                )
-            )
-            if len(outcomes) < min_trials:
-                continue
-            estimate = _aggregate(spec, outcomes, converged=False)
-            if estimate.censored_fraction > max_censored_fraction:
-                raise CensoredPrecisionError(
-                    f"{spec.label}: {estimate.censored} of {estimate.stats.n} "
-                    f"protocol runs were censored at the {max_steps}-step "
-                    f"budget (fraction {estimate.censored_fraction:.2f} > "
-                    f"{max_censored_fraction:.2f}); the requested precision "
-                    "target is meaningless — raise max_steps or drop "
-                    "precision=",
-                    outcomes=tuple(outcomes),
-                )
-            if estimate.censored and not warned_censored:
-                warnings.warn(
-                    f"{spec.label}: {estimate.censored} of {estimate.stats.n} "
-                    "protocol runs censored at the step budget; the mean and "
-                    "CI are lower bounds on the true lifetime",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                warned_censored = True
-            scale = max(abs(estimate.stats.mean), 1e-300)
-            if estimate.stats.ci_halfwidth <= precision * scale:
-                converged = True
-                break
-    return _aggregate(spec, outcomes, converged=converged)
+    return point.estimate

@@ -53,6 +53,7 @@ from ..metrics.stats import (
     splitting_probability,
 )
 from ..sim.rng import derive_seed
+from ..supervision.policy import Quarantined
 from .fork import Trajectory, child_seed, reseed_for_split
 from .levels import (
     DEFAULT_POLL_FRACTION,
@@ -523,7 +524,7 @@ def run_splitting(
     scenario: "ScenarioSpec | None" = None,
     cache: "ResultCache | None" = None,
     **build_kwargs,
-) -> RareEventEstimate:
+) -> Optional[RareEventEstimate]:
     """Estimate P(compromise within ``max_steps``) by multilevel splitting.
 
     Pilot and replication waves fan out through ``executor`` (or a fresh
@@ -532,6 +533,11 @@ def run_splitting(
     bit-identical for any worker count or batch size.  With ``cache``
     set, the whole estimate (both waves) is one content-addressed entry:
     a warm call dispatches nothing and refolds the stored waves.
+
+    Under a supervised executor, quarantined pilot batches and
+    replications are skipped and the survivors folded; such an estimate
+    is never cached.  ``None`` means no pilot run or no replication
+    survived.
     """
     from ..core.experiment import _batched  # deferred: layering
     from ..mc.executor import TaskExecutor  # deferred: avoids cycle
@@ -575,11 +581,16 @@ def run_splitting(
     with ExitStack() as stack:
         if owns_executor:
             stack.enter_context(executor)
+        # A supervised executor may quarantine pilot batches or
+        # replications: fold the survivors (replications are iid).
         pilot_results = [
             result
             for batch in executor.map(run_pilot_task, pilot_tasks)
+            if not isinstance(batch, Quarantined)
             for result in batch
         ]
+        if not pilot_results:
+            return None
         pilot_maxima = [max_level for _, max_level in pilot_results]
         merged = set(
             choose_levels(
@@ -608,8 +619,18 @@ def run_splitting(
             )
             for r in range(config.replications)
         ]
-        replications = executor.map(run_splitting_task, replication_tasks)
+        replications = [
+            rep
+            for rep in executor.map(run_splitting_task, replication_tasks)
+            if not isinstance(rep, Quarantined)
+        ]
+    if not replications:
+        return None
     estimate = _fold(config, levels, pilot_results, replications)
-    if cache is not None and key is not None:
+    whole = (
+        len(pilot_results) == config.pilot_runs
+        and len(replications) == config.replications
+    )
+    if cache is not None and key is not None and whole:
         cache.store(key, _estimate_payload(estimate, replications))
     return estimate

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import get_scenario
 
 
 def run_cli(capsys, *argv):
@@ -386,3 +389,42 @@ def test_protocol_command_accepts_timing(capsys):
     )
     assert code == 0
     assert "protocol-level lifetimes" in out
+
+
+def test_protocol_sweep_scenario_and_scenario_run_share_cache_entries(capsys, tmp_path):
+    """Both campaign commands run a scenario through one code path: the
+    second replays every grid point the first stored."""
+    points = len(get_scenario("degraded-timing").grid())
+    flags = ["--trials", "2", "--max-steps", "20", "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(
+        capsys, "protocol-sweep", "--scenario", "degraded-timing", *flags
+    )
+    assert code == 0
+    assert f"result cache: 0 hits, {points} misses" in out
+    code, out, err = run_cli(capsys, "scenario", "run", "degraded-timing", *flags)
+    assert code == 0
+    assert f"result cache: {points} hits, 0 misses" in out
+
+
+def test_protocol_sweep_timing_override_edits_the_scenario(capsys, tmp_path):
+    record_path = tmp_path / "record.json"
+    code, out, err = run_cli(
+        capsys,
+        "protocol-sweep",
+        "--scenario",
+        "degraded-timing",
+        "--timing",
+        "ideal",
+        "--trials",
+        "2",
+        "--max-steps",
+        "20",
+        "--no-cache",
+        "--output",
+        str(record_path),
+    )
+    assert code == 0
+    assert "timing=ideal" in out
+    record = json.loads(record_path.read_text())
+    assert record["timing_preset"] == "ideal"
+    assert record["scenario_spec"]["timing"] == "ideal"  # what actually ran

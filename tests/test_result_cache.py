@@ -189,7 +189,6 @@ def test_warm_campaign_dispatches_nothing(tmp_path, monkeypatch):
     def refuse(task):
         raise AssertionError("a fully warm campaign must not dispatch tasks")
 
-    monkeypatch.setattr("repro.core.campaign.run_protocol_task", refuse)
     monkeypatch.setattr("repro.core.experiment.run_protocol_task", refuse)
     warm = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW)
     assert warm.cache_hits == len(specs)

@@ -26,7 +26,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro.core.campaign as campaign_module
 import repro.core.experiment as experiment_module
 from repro.cache import ResultCache
 from repro.core.campaign import (
@@ -35,8 +34,12 @@ from repro.core.campaign import (
     campaign_record,
     run_campaign,
 )
-from repro.core.experiment import _outcome_block_payload, _outcome_payload
-from repro.core.specs import SystemClass
+from repro.core.experiment import (
+    _outcome_block_payload,
+    _outcome_payload,
+    estimate_protocol_lifetime,
+)
+from repro.core.specs import SystemClass, s1
 from repro.errors import ConfigurationError
 from repro.mc.executor import (
     ExecutorBackend,
@@ -44,6 +47,8 @@ from repro.mc.executor import (
     TaskExecutor,
     derive_point_seed,
 )
+from repro.randomization.obfuscation import Scheme
+from repro.rare.splitting import SplittingConfig
 from repro.reporting.tables import render_failure_manifest
 from repro.supervision import (
     ChaosBackend,
@@ -426,7 +431,7 @@ def test_interrupt_keeps_points_in_cache_and_rerun_resumes(
 ):
     cache = ResultCache(tmp_path / "cache")
     reader = ResultCache(tmp_path / "cache")  # keeps the campaign's tallies
-    real_runner = campaign_module.run_protocol_task
+    real_runner = experiment_module.run_protocol_task
     last = grid[-1]
     stored_before_interrupt: list = []
 
@@ -440,7 +445,7 @@ def test_interrupt_keeps_points_in_cache_and_rerun_resumes(
             raise KeyboardInterrupt  # the operator hits Ctrl-C
         return real_runner(task)
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", interrupting)
     with pytest.raises(CampaignInterrupted, match="in the result cache") as excinfo:
         _campaign(grid, workers=1, batch_size=2, cache=cache)
     assert stored_before_interrupt == [
@@ -460,7 +465,7 @@ def test_interrupt_keeps_points_in_cache_and_rerun_resumes(
         dispatched.append(task)
         return real_runner(task)
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", refusing)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", refusing)
     resumed = _campaign(grid, workers=1, batch_size=2, cache=cache)
     assert [task.spec for task in dispatched] == [last, last]
     assert sum(len(task.seeds) for task in dispatched) == TRIALS
@@ -472,7 +477,6 @@ def test_interrupt_without_cache_says_nothing_was_kept(grid, monkeypatch):
     def interrupting(task):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
     monkeypatch.setattr(experiment_module, "run_protocol_task", interrupting)
     for kwargs in ({}, {"precision": 0.5}):
         with pytest.raises(CampaignInterrupted) as excinfo:
@@ -491,20 +495,20 @@ def test_rerun_of_complete_campaign_dispatches_nothing(
     def poisoned(task):
         raise AssertionError("a complete campaign must not dispatch again")
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", poisoned)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", poisoned)
     resumed = _campaign(grid, workers=1, cache=cache)
     assert _outcomes(resumed) == _outcomes(first) == _outcomes(clean_result)
 
 
 def _counting_runner(monkeypatch) -> list:
     dispatched: list = []
-    real_runner = campaign_module.run_protocol_task
+    real_runner = experiment_module.run_protocol_task
 
     def counting(task):
         dispatched.append(task)
         return real_runner(task)
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", counting)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", counting)
     return dispatched
 
 
@@ -700,7 +704,7 @@ def test_cli_cache_resume_dispatches_nothing(tmp_path, monkeypatch, capsys):
     def poisoned(task):
         raise AssertionError("a cached re-run must not dispatch finished work")
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", poisoned)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", poisoned)
     assert _cli(common) == 0
     assert "result cache: 1 hits, 0 misses" in capsys.readouterr().out
 
@@ -711,7 +715,7 @@ def test_cli_interrupt_hint_names_the_cache_only_when_set(
     def interrupting(task):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(campaign_module, "run_protocol_task", interrupting)
+    monkeypatch.setattr(experiment_module, "run_protocol_task", interrupting)
     assert _cli([*_CLI_SWEEP, "--cache-dir", str(tmp_path / "cache")]) == 130
     err = capsys.readouterr().err
     assert "re-run the same command with the same --cache-dir to resume" in err
@@ -719,3 +723,115 @@ def test_cli_interrupt_hint_names_the_cache_only_when_set(
     err = capsys.readouterr().err
     assert "nothing was kept" in err
     assert "--cache-dir" not in err
+
+
+# ----------------------------------------------------------------------
+# Quarantine inside precision rounds and the splitting waves
+# ----------------------------------------------------------------------
+def _chaos_executor(text: str) -> TaskExecutor:
+    return TaskExecutor(
+        1,
+        backend=ChaosBackend(ChaosSpec.parse(text), SerialBackend()),
+        policy=SupervisionPolicy(**FAST),
+    )
+
+
+def test_precision_rounds_never_rerun_seeds_after_quarantine():
+    """A quarantined batch leaves a hole; the next round's seeds start
+    after it instead of re-running seeds the earlier rounds simulated."""
+    executor = _chaos_executor("seed=5,poison=0.2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        estimate = estimate_protocol_lifetime(
+            s1(Scheme.PO, alpha=0.3, entropy_bits=6),
+            max_steps=30,
+            precision=0.01,
+            max_trials=96,
+            batch_size=4,
+            executor=executor,
+        )
+    seeds = [o.seed for o in estimate.outcomes]
+    lost = {seed for failure in executor.manifest.failures for seed in failure.seeds}
+    assert lost  # the fault pattern really quarantined batches
+    assert len(seeds) == len(set(seeds))  # no seed ran twice
+    assert seeds == sorted(seeds)  # seed_for(0..) in order, holes skipped
+    assert set(seeds) | lost == set(range(96))
+    assert not set(seeds) & lost
+
+
+@pytest.mark.filterwarnings("ignore:task .* quarantined:RuntimeWarning")
+def test_splitting_folds_surviving_waves_and_never_caches_holes(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    kwargs = dict(
+        max_steps=6,
+        workers=1,
+        estimator="splitting",
+        chaos=ChaosSpec.parse("seed=3,poison=0.5"),
+        supervision=SupervisionPolicy(**FAST),
+        cache=cache,
+    )
+    config = SplittingConfig(pilot_runs=16, replications=4, trajectories=4)
+    spec = s1(Scheme.PO, alpha=0.05)
+    with pytest.warns(RuntimeWarning, match="lost quarantined tasks"):
+        result = run_campaign([spec], splitting=config, **kwargs)
+    (estimate,) = result.estimates
+    rare = estimate.rare
+    assert result.quarantined > 0
+    assert (rare.pilot_runs, rare.replications) != (
+        config.pilot_runs,
+        config.replications,
+    )
+    assert estimate.outcomes == rare.pilot_outcomes
+    assert cache.info()["entries"] == 0  # an estimate with holes is never stored
+
+    # With a single pilot batch quarantined nothing survives: dropped.
+    lone = SplittingConfig(pilot_runs=8, replications=4, trajectories=4)
+    with pytest.warns(RuntimeWarning, match="fully quarantined"):
+        dropped = run_campaign([spec], splitting=lone, **kwargs)
+    assert len(dropped) == 0 and dropped.quarantined == 1
+
+
+# ----------------------------------------------------------------------
+# The estimator="auto" re-pass runs on the campaign's own executor
+# ----------------------------------------------------------------------
+AUTO_GRID = [
+    s1(Scheme.SO, alpha=0.2, entropy_bits=6),
+    s1(Scheme.PO, alpha=0.01),  # censor-heavy at this budget
+]
+AUTO_SPLITTING = SplittingConfig(pilot_runs=8, replications=2, trajectories=4)
+
+
+def _auto_campaign(**kwargs):
+    return run_campaign(
+        AUTO_GRID,
+        trials=6,
+        max_steps=6,
+        seed=ROOT_SEED,
+        workers=1,
+        estimator="auto",
+        splitting=AUTO_SPLITTING,
+        **kwargs,
+    )
+
+
+def test_auto_repass_is_supervised_and_counts_its_retries():
+    clean = _auto_campaign()
+    assert [e.estimator for e in clean.estimates] == ["mc", "splitting"]
+    chaos = ChaosSpec(seed=0, transient=1.0)  # every task fails once
+    result = _auto_campaign(chaos=chaos, supervision=SupervisionPolicy(**FAST))
+    assert result.estimates == clean.estimates
+    mc_tasks = len(AUTO_GRID)  # one batch of 6 seeds per point
+    splitting_tasks = 1 + AUTO_SPLITTING.replications  # one pilot batch
+    assert result.retries == mc_tasks + splitting_tasks
+    assert result.quarantined == 0
+
+
+def test_interrupt_during_auto_repass_raises_campaign_interrupted(monkeypatch):
+    def interrupting(task):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.rare.splitting.run_pilot_task", interrupting)
+    with pytest.raises(CampaignInterrupted, match="1 of 2 grid points") as excinfo:
+        _auto_campaign()
+    (kept,) = excinfo.value.partial.estimates
+    assert kept.spec == AUTO_GRID[0] and kept.estimator == "mc"
