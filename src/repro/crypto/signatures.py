@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import CryptoError
 from .keys import KeyPair, generate_keypair
@@ -31,37 +31,58 @@ def canonical_bytes(obj: Any) -> bytes:
     :class:`Signed` envelopes serialize by their fields.  Unsupported
     types raise :class:`~repro.errors.CryptoError` rather than silently
     using an unstable ``repr``.
+
+    The encoding is built as text and encoded once.  ``bytes`` leaves
+    travel as ``surrogateescape`` text, which encodes back to exactly
+    the original bytes; ``repr`` escapes every surrogate of a ``str``
+    leaf, so no other piece can collide with them.
     """
-    out: list[bytes] = []
-    _canonicalize(obj, out)
-    return b"".join(out)
+    out: list[str] = []
+    _encode(obj, out.append)
+    return "".join(out).encode("utf-8", "surrogateescape")
 
 
-def _canonicalize(obj: Any, out: list[bytes]) -> None:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        out.append(f"{type(obj).__name__}:{obj!r};".encode("utf-8"))
-    elif isinstance(obj, bytes):
-        out.append(b"bytes:" + obj + b";")
-    elif isinstance(obj, (list, tuple)):
-        out.append(b"seq[")
-        for item in obj:
-            _canonicalize(item, out)
-        out.append(b"]")
-    elif isinstance(obj, dict):
-        out.append(b"map{")
+def _encode(obj: Any, emit: Callable[[str], None]) -> None:
+    cls = type(obj)
+    kind = _KINDS.get(cls) or _subclass_kind(obj)
+    if kind is _SCALAR:
+        emit(f"{cls.__name__}:{obj!r};")
+    elif kind is _MAP:
+        emit("map{")
         for key in sorted(obj, key=repr):
-            _canonicalize(key, out)
-            out.append(b"=")
-            _canonicalize(obj[key], out)
-        out.append(b"}")
-    elif isinstance(obj, Signed):
-        out.append(b"signed<")
-        _canonicalize(obj.payload, out)
-        _canonicalize(obj.signer, out)
-        _canonicalize(obj.signature, out)
-        out.append(b">")
+            _encode(key, emit)
+            emit("=")
+            _encode(obj[key], emit)
+        emit("}")
+    elif kind is _SEQ:
+        emit("seq[")
+        for item in obj:
+            _encode(item, emit)
+        emit("]")
+    elif kind is _SIGNED:
+        emit("signed<")
+        _encode(obj.payload, emit)
+        _encode(obj.signer, emit)
+        _encode(obj.signature, emit)
+        emit(">")
     else:
-        raise CryptoError(f"cannot canonicalize value of type {type(obj).__name__}")
+        emit(f"bytes:{obj.decode('utf-8', 'surrogateescape')};")
+
+
+def _subclass_kind(obj: Any) -> str:
+    """Kind of a value whose exact type is not in ``_KINDS`` (a subclass
+    such as an ``IntEnum``), checked in the encoding's precedence order."""
+    if isinstance(obj, (bool, int, float, str)):
+        return _SCALAR
+    if isinstance(obj, bytes):
+        return _BYTES
+    if isinstance(obj, (list, tuple)):
+        return _SEQ
+    if isinstance(obj, dict):
+        return _MAP
+    if isinstance(obj, Signed):
+        return _SIGNED
+    raise CryptoError(f"cannot canonicalize value of type {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +103,24 @@ class Signed:
     payload: Any
     signer: str
     signature: str
+
+
+_SCALAR, _BYTES, _SEQ, _MAP, _SIGNED = "scalar", "bytes", "seq", "map", "signed"
+
+#: Encoding kind of each exactly-typed value; subclasses go through
+#: :func:`_subclass_kind`.
+_KINDS: dict[type, str] = {
+    str: _SCALAR,
+    int: _SCALAR,
+    bool: _SCALAR,
+    float: _SCALAR,
+    type(None): _SCALAR,
+    dict: _MAP,
+    list: _SEQ,
+    tuple: _SEQ,
+    Signed: _SIGNED,
+    bytes: _BYTES,
+}
 
 
 class SignatureAuthority:
@@ -139,7 +178,11 @@ class SignatureAuthority:
     # ------------------------------------------------------------------
     @staticmethod
     def tag(private: str, payload: Any) -> str:
-        """Compute the signature tag of ``payload`` under ``private``."""
+        """Compute the signature tag of ``payload`` under ``private``.
+
+        The payload is encoded as it is at call time, on every call, so
+        a payload changed after signing no longer verifies.
+        """
         digest = hashlib.sha256()
         digest.update(private.encode("utf-8"))
         digest.update(canonical_bytes(payload))

@@ -107,6 +107,9 @@ class SMRReplica(RandomizedProcess):
         self._view_votes: dict[int, set[str]] = {}
         self._ordering: Optional[OrderingState] = None
         self._sync_reports: dict[str, dict] = {}
+        # ``service.digest()`` of the current state, or None until a sync
+        # request needs it; cleared whenever the service state changes.
+        self._state_digest: Optional[str] = None
         self.requests_executed = 0
         authority.issue_keypair(name)
         self._ticker_started = False
@@ -270,6 +273,7 @@ class SMRReplica(RandomizedProcess):
             self.receive_probe(int(body.get("guess", -1)))
             return
         response = self.service.apply(body)
+        self._state_digest = None
         self.requests_executed += 1
         self.response_cache[request_id] = response
         self._send_response(request_id, response, reply_to)
@@ -347,6 +351,11 @@ class SMRReplica(RandomizedProcess):
                 self.network.send(Message(self.name, peer, SYNC_REQUEST, {}))
 
     def _on_sync_request(self, message: Message) -> None:
+        # Peers ask at every crash and respawn, far more often than the
+        # state changes, so the digest is computed once per state.
+        digest = self._state_digest
+        if digest is None:
+            digest = self._state_digest = self.service.digest()
         self.network.send(
             Message(
                 self.name,
@@ -355,7 +364,7 @@ class SMRReplica(RandomizedProcess):
                 {
                     "seq": self.executed_seq,
                     "view": self.view,
-                    "digest": self.service.digest(),
+                    "digest": digest,
                     "snapshot": self.service.snapshot(),
                     "cache": dict(self.response_cache),
                     "executed_ids": sorted(self.executed_ids),
@@ -382,6 +391,7 @@ class SMRReplica(RandomizedProcess):
                 self.executed_seq = seq
                 self.view = max(self.view, chosen["view"])
                 self.service.restore(chosen["snapshot"])
+                self._state_digest = None
                 self.response_cache.update(chosen["cache"])
                 self.executed_ids.update(chosen["executed_ids"])
                 for request_id in list(self.pending):

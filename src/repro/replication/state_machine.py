@@ -54,6 +54,20 @@ class Service(ABC):
         return True
 
 
+#: Immutable value types a store can copy by reference.
+_SCALAR_TYPES = frozenset((int, str, float, bool, type(None)))
+
+
+def _copy_data(data: dict[str, Any]) -> dict[str, Any]:
+    """A self-contained copy of a store's data: a flat ``dict`` copy
+    when every value's exact type is an immutable scalar (the built-in
+    workloads write only ints), else a deep copy."""
+    for value in data.values():
+        if type(value) not in _SCALAR_TYPES:
+            return copy.deepcopy(data)
+    return dict(data)
+
+
 class KVStoreService(Service):
     """Deterministic key-value store.
 
@@ -91,14 +105,10 @@ class KVStoreService(Service):
         return {"ok": False, "error": f"unknown_op:{op}"}
 
     def snapshot(self) -> dict[str, Any]:
-        # Attack-only runs sync empty stores at respawn rate: skip the
-        # deepcopy machinery when there is nothing to copy.
-        data = self._data
-        return {"data": copy.deepcopy(data) if data else {}, "ops": self.ops_applied}
+        return {"data": _copy_data(self._data), "ops": self.ops_applied}
 
     def restore(self, state: Any) -> None:
-        data = state["data"]
-        self._data = copy.deepcopy(data) if data else {}
+        self._data = _copy_data(state["data"])
         self.ops_applied = state["ops"]
 
 
