@@ -98,7 +98,10 @@ class AttackerProcess(SimProcess):
         self._launchpad_servers: list[str] = []
         self._launchpad_pool_id: Optional[str] = None
         self._launchpad_drivers: dict[str, ProbeDriver] = {}  # proxy -> driver
-        self._launchpad_hosts: set = set()  # currently compromised proxies
+        #: Currently compromised proxies, in compromise order (a dict,
+        #: values unused: the launch pad goes to the first-compromised
+        #: host, never to one picked by object address).
+        self._launchpad_hosts: dict = {}
         self._watched_proxies: set = set()  # proxies with our state listener
         self._feedback_handlers: list = []
         self._fast_forward = False
@@ -386,9 +389,10 @@ class AttackerProcess(SimProcess):
     def unregister_connection(self, connection: Connection) -> None:
         """Drop the routing entry of a dead connection.
 
-        Drivers call this when they abandon a closed connection (on
-        reconnect or stop).  The attacker deliberately does *not*
-        override ``on_connection_closed``: a probe driver discovers the
+        Drivers drop the entry when they abandon a closed connection:
+        through this method on stop, inline in ``ProbeDriver._fire`` on
+        reconnect.  The attacker deliberately does *not* override
+        ``on_connection_closed``: a probe driver discovers the
         closure itself by checking ``connection.open`` at its next fire,
         so a per-crash closure notification event would carry no
         information — and the network elides notifications that would
@@ -422,7 +426,7 @@ class AttackerProcess(SimProcess):
         if proxy not in self._watched_proxies:
             self._watched_proxies.add(proxy)
             proxy.add_state_listener(self._on_proxy_state_change)
-        self._launchpad_hosts.add(proxy)
+        self._launchpad_hosts.setdefault(proxy, None)
         self._ensure_launchpad()
 
     def _on_proxy_state_change(self, proxy) -> None:
@@ -430,7 +434,7 @@ class AttackerProcess(SimProcess):
             return  # nothing armed: crash/respawn churn is not ours
         if proxy.compromised:
             return
-        self._launchpad_hosts.discard(proxy)
+        self._launchpad_hosts.pop(proxy, None)
         driver = self._launchpad_drivers.pop(proxy.name, None)
         if driver is not None:
             driver.stop()

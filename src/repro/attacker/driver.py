@@ -111,7 +111,7 @@ class ProbeDriver:
         attacker = self.attacker
         pool = self.pool
         known = pool.known_key
-        if known is None and len(pool._tried) >= pool.keyspace.size:  # exhausted
+        if known is None and len(pool._tried) >= pool._size:  # exhausted
             # Defensive: in SO mode against an unlucky space the pool can
             # drain; the attack has then provably failed for this instance.
             self.active = False
@@ -122,8 +122,9 @@ class ProbeDriver:
             if connection is not None:
                 # The old stream died (its closure is our crash
                 # observation); retire its routing entry here instead of
-                # paying a notification event per crash.
-                attacker.unregister_connection(connection)
+                # paying a notification event per crash
+                # (AttackerProcess.unregister_connection, inlined).
+                attacker._by_connection.pop(connection.conn_id, None)
             connection = self.connection = attacker.network.connect(
                 self.initiator, self.target
             )
@@ -145,7 +146,8 @@ class ProbeDriver:
             # Inlined Connection.send + Network.deliver_on_connection
             # fast path: the connection is open (checked above), our
             # peer is always the target, and the per-probe delivery
-            # event is pushed without intermediate frames.
+            # event carries the bare guess (no payload to build or
+            # parse) and is pushed without intermediate frames.
             connection.bytes_exchanged += 1
             net = self._net
             fixed = net._fixed_delay
@@ -154,7 +156,7 @@ class ProbeDriver:
                 net.deliver_probe_to,
                 connection,
                 self._target_process,
-                {"kind": "probe", "guess": guess},
+                guess,
             )
             self.probes_sent += 1
             attacker.probes_sent_direct += 1

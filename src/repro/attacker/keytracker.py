@@ -126,6 +126,7 @@ class KeyGuessTracker:
 
     __slots__ = (
         "keyspace",
+        "_size",
         "_rng",
         "_buffer",
         "_materialize_at",
@@ -147,6 +148,9 @@ class KeyGuessTracker:
         buffer: Optional[GuessBuffer] = None,
     ) -> None:
         self.keyspace = keyspace
+        #: ``keyspace.size``, cached: every guess checks it, and it is a
+        #: property.
+        self._size = keyspace.size
         self._rng = rng
         self._buffer = buffer
         #: Integer form of the rejection→materialize threshold: the
@@ -170,7 +174,7 @@ class KeyGuessTracker:
     @property
     def exhausted(self) -> bool:
         """True when every key of the space has been tried."""
-        return len(self._tried) >= self.keyspace.size
+        return len(self._tried) >= self._size
 
     def next_guess(self) -> int:
         """Return a fresh, never-tried key guess.
@@ -182,7 +186,7 @@ class KeyGuessTracker:
             before; callers normally reset on re-randomization).
         """
         tried = self._tried
-        if len(tried) >= self.keyspace.size:
+        if len(tried) >= self._size:
             raise ConfigurationError("key pool exhausted; reset the tracker")
         self.total_guesses += 1
         remaining = self._remaining
@@ -203,7 +207,7 @@ class KeyGuessTracker:
                     tried.add(guess)
                     return guess
         randrange = self._rng.randrange
-        size = self.keyspace.size
+        size = self._size
         while True:
             guess = randrange(size)
             if guess not in tried:

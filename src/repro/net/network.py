@@ -18,7 +18,7 @@ dict lookup, one no-handle schedule, and no latency-model call at all.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import NetworkError
 from ..sim.engine import Simulator
@@ -26,6 +26,9 @@ from ..sim.process import ProcessState, SimProcess
 from .latency import FixedLatency, LatencyModel
 from .message import Message
 from .transport import Connection
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..randomization.node import RandomizedProcess
 
 _RUNNING = ProcessState.RUNNING
 _BASE_CLOSE_HANDLER = SimProcess.on_connection_closed
@@ -84,7 +87,10 @@ class Network:
         #: (cached at registration): only these get closure events under
         #: the fixed-latency elision — see :meth:`connection_closed`.
         self._close_notify: set[str] = set()
-        self._connections: dict[str, set[Connection]] = {}
+        #: Open connections per endpoint, as insertion-ordered dicts
+        #: (values unused): crash teardown walks them in opening order,
+        #: not in an order set by object addresses.
+        self._connections: dict[str, dict[Connection, None]] = {}
         self._partitioned: set[frozenset[str]] = set()
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -104,7 +110,7 @@ class Network:
         if process.name in self._processes:
             raise NetworkError(f"duplicate process name {process.name!r}")
         self._processes[process.name] = process
-        self._connections.setdefault(process.name, set())
+        self._connections.setdefault(process.name, {})
         if (
             type(process).on_connection_closed is not _BASE_CLOSE_HANDLER
             or "on_connection_closed" in process.__dict__
@@ -298,8 +304,8 @@ class Network:
             return None
         connection = Connection(self, initiator, responder)
         connections = self._connections
-        connections[initiator].add(connection)
-        connections[responder].add(connection)
+        connections[initiator][connection] = None
+        connections[responder][connection] = None
         return connection
 
     def deliver_on_connection(
@@ -316,18 +322,23 @@ class Network:
         )
 
     def deliver_probe_to(
-        self, connection: Connection, process: SimProcess, payload: Any
+        self, connection: Connection, process: "RandomizedProcess", guess: int
     ) -> None:
-        """Probe-stream delivery fast path (pre-resolved destination).
+        """Probe-stream delivery fast path: hand ``guess`` to ``process``.
 
-        Probe drivers target one fixed process per stream, the registry
-        is append-only, and probe targets never carry sink overrides —
-        so the per-delivery name resolution and sink lookup of
-        :meth:`_deliver_connection_data` can be skipped.  Scheduled by
-        :class:`repro.attacker.driver.ProbeDriver`.
+        Scheduled by :class:`repro.attacker.driver.ProbeDriver` with the
+        bare guess, not a ``{"kind": "probe", ...}`` payload.  Probe
+        drivers target one fixed
+        :class:`~repro.randomization.node.RandomizedProcess` per stream,
+        the registry is append-only, and probe targets never carry sink
+        overrides — so the name resolution and sink lookup of
+        :meth:`_deliver_connection_data` and the payload parse of
+        ``handle_connection_data`` are skipped, and the probe goes
+        straight to ``receive_probe``, the same entry point the parsed
+        payload reaches.
         """
         if connection.open and process.state is _RUNNING:
-            process.handle_connection_data(connection, payload)
+            process.receive_probe(guess, connection)
 
     def _deliver_connection_data(
         self, connection: Connection, dst: str, payload: Any
@@ -360,7 +371,7 @@ class Network:
         for name in (connection.initiator, connection.responder):
             conns = connections.get(name)
             if conns is not None:
-                conns.discard(connection)
+                conns.pop(connection, None)
             if name == closed_by:
                 continue
             if fixed and name not in notify and (sinks is None or name not in sinks):
@@ -382,12 +393,18 @@ class Network:
 
     # ------------------------------------------------------------------
     def _on_endpoint_down(self, process: SimProcess) -> None:
-        """Crash/reboot/stop listener: tear down the endpoint's connections."""
+        """Crash/reboot/stop listener: tear down the endpoint's connections.
+
+        Runs once per probe-induced crash, so :meth:`Connection.close`
+        is inlined: each connection is marked closed and handed to
+        :meth:`connection_closed` (both ends notified), in the order the
+        connections were opened.  That call removes the connection from
+        the very dict being drained, hence the snapshot.
+        """
         conns = self._connections.get(process.name)
         if conns:
-            # Each close() discards the connection from this very set,
-            # so draining it needs no snapshot copy.
-            while conns:
-                connection = next(iter(conns))
-                connection.close(closed_by=None)
-                conns.discard(connection)  # defensive: close() is idempotent
+            for connection in list(conns):
+                if connection.open:
+                    connection.open = False
+                    self.connection_closed(connection, None)
+            conns.clear()

@@ -60,11 +60,15 @@ class RandomizedProcess(SimProcess):
         """The key space protecting this node."""
         return self.address_space.keyspace
 
-    def receive_probe(self, guess: int) -> ProbeOutcome:
-        """Apply an attack probe to this node.
+    def receive_probe(self, guess: int, connection=None) -> ProbeOutcome:
+        """Apply an attack probe to this node — the one place the probe
+        rules live.
 
         Wrong guess → process crash (observable through connection
-        closure); right guess → the node is marked compromised.
+        closure); right guess → the node is marked compromised, and a
+        probe that arrived on ``connection`` is acknowledged on it (the
+        exploit code runs and phones home).  Request-path probes, which
+        every replica executes, pass no connection.
 
         (``AddressSpace.check_probe`` is inlined here — this runs once
         per probe, the innermost protocol operation there is.)
@@ -74,21 +78,24 @@ class RandomizedProcess(SimProcess):
         if guess == space.key:
             space.intrusions += 1
             self.mark_compromised()
+            if connection is not None:
+                connection.send(self.name, {"kind": "intrusion_ack", "node": self.name})
             return ProbeOutcome.INTRUSION
         space.crashes_caused += 1
         self.crash()
         return ProbeOutcome.CRASH
 
     def handle_connection_data(self, connection, payload) -> None:
-        """Direct attacks arrive on connections as probe payloads.
+        """Parse a ``{"kind": "probe", "guess": g}`` connection payload
+        and hand the guess to :meth:`receive_probe`.
 
-        Every randomized, network-facing process exposes this surface;
-        the right guess is acknowledged to the attacker (his exploit
-        code runs and phones home), the wrong one crashes us — which the
-        peer observes through the connection closing.
+        Every randomized, network-facing process exposes this surface.
+        Probe drivers skip the parse: they schedule
+        :meth:`~repro.net.network.Network.deliver_probe_to` with the
+        bare guess.
         """
-        # Probes arrive at attack rate: duck-type instead of paying a
-        # Mapping ABC check per payload (non-mapping payloads lack .get).
+        # Duck-type instead of paying a Mapping ABC check per payload
+        # (non-mapping payloads lack .get).
         try:
             kind = payload.get("kind")
         except AttributeError:
@@ -97,9 +104,7 @@ class RandomizedProcess(SimProcess):
             guess = payload.get("guess", -1)
             if guess.__class__ is not int:
                 guess = int(guess)
-            outcome = self.receive_probe(guess)
-            if outcome is ProbeOutcome.INTRUSION:
-                connection.send(self.name, {"kind": "intrusion_ack", "node": self.name})
+            self.receive_probe(guess, connection)
 
     # ------------------------------------------------------------------
     # Refresh operations (invoked by the obfuscation manager)

@@ -110,6 +110,10 @@ class SMRReplica(RandomizedProcess):
         # ``service.digest()`` of the current state, or None until a sync
         # request needs it; cleared whenever the service state changes.
         self._state_digest: Optional[str] = None
+        # The SYNC_RESPONSE payload for the current (seq, view, service,
+        # response cache, executed ids), or None until a sync request
+        # needs it; cleared whenever any of those fields changes.
+        self._sync_payload: Optional[dict] = None
         self.requests_executed = 0
         authority.issue_keypair(name)
         self._ticker_started = False
@@ -256,6 +260,11 @@ class SMRReplica(RandomizedProcess):
             if slot.phase is SlotPhase.COMMITTED and slot.request is not None:
                 self._execute(slot.request)
                 self.executed_seq += 1
+                # Also covers what _execute changed (executed ids,
+                # service state, response cache, probe-op executions
+                # included): it has no other caller, and nothing it does
+                # answers a sync request before this line.
+                self._sync_payload = None
                 progressed = True
 
     def _execute(self, record: dict) -> None:
@@ -334,6 +343,7 @@ class SMRReplica(RandomizedProcess):
             return
         old_view = self.view
         self.view = new_view
+        self._sync_payload = None
         self.ordering.drop_view(old_view)
         self._proposed.clear()
         for request_id in self._pending_since:
@@ -345,32 +355,37 @@ class SMRReplica(RandomizedProcess):
 
     # -- state transfer --------------------------------------------------------
     def _request_sync(self) -> None:
+        # Runs at every respawn under probing: the request carries no
+        # payload (Message shares one empty mapping).
         self._sync_reports.clear()
+        name, network = self.name, self.network
         for peer in self.peers:
-            if peer != self.name and self.network.knows(peer):
-                self.network.send(Message(self.name, peer, SYNC_REQUEST, {}))
+            if peer != name and network.knows(peer):
+                network.send(Message(name, peer, SYNC_REQUEST))
 
     def _on_sync_request(self, message: Message) -> None:
-        # Peers ask at every crash and respawn, far more often than the
-        # state changes, so the digest is computed once per state.
-        digest = self._state_digest
-        if digest is None:
-            digest = self._state_digest = self.service.digest()
-        self.network.send(
-            Message(
-                self.name,
-                message.src,
-                SYNC_RESPONSE,
-                {
-                    "seq": self.executed_seq,
-                    "view": self.view,
-                    "digest": digest,
-                    "snapshot": self.service.snapshot(),
-                    "cache": dict(self.response_cache),
-                    "executed_ids": sorted(self.executed_ids),
-                },
-            )
-        )
+        """Answer with the memoized SYNC_RESPONSE payload.
+
+        Peers ask at every crash and respawn, far more often than the
+        state changes, so the payload (and the digest inside it) is
+        built once per state and the same object is sent to every
+        asker: receivers never mutate a report, and ``restore`` copies
+        the snapshot it adopts.
+        """
+        payload = self._sync_payload
+        if payload is None:
+            digest = self._state_digest
+            if digest is None:
+                digest = self._state_digest = self.service.digest()
+            payload = self._sync_payload = {
+                "seq": self.executed_seq,
+                "view": self.view,
+                "digest": digest,
+                "snapshot": self.service.snapshot(),
+                "cache": dict(self.response_cache),
+                "executed_ids": sorted(self.executed_ids),
+            }
+        self.network.send(Message(self.name, message.src, SYNC_RESPONSE, payload))
 
     def _on_sync_response(self, message: Message) -> None:
         """Adopt a peer state only when ``f + 1`` replicas agree on it.
@@ -378,27 +393,41 @@ class SMRReplica(RandomizedProcess):
         This is the recovery condition of §2.3: a re-joining replica
         needs ``f + 1`` correct working replicas to supply the state, so
         a single compromised replica cannot poison recovery.
+
+        Reports are stored by reference (senders share one immutable
+        payload per state).  Only the arriving report's ``(seq,
+        digest)`` is counted: it is the only fingerprint whose count can
+        rise, so it is the only one that can newly reach ``f + 1`` — any
+        other would have been adopted (or found stale) when it did.  The
+        first matching report in ``_sync_reports`` order is adopted.
         """
-        self._sync_reports[message.src] = dict(message.payload)
-        by_fingerprint: dict[tuple[int, str], list[dict]] = {}
-        for report in self._sync_reports.values():
-            by_fingerprint.setdefault(
-                (report["seq"], report["digest"]), []
-            ).append(report)
-        for (seq, _), reports in by_fingerprint.items():
-            if seq > self.executed_seq and len(reports) >= self.f + 1:
-                chosen = reports[0]
-                self.executed_seq = seq
-                self.view = max(self.view, chosen["view"])
-                self.service.restore(chosen["snapshot"])
-                self._state_digest = None
-                self.response_cache.update(chosen["cache"])
-                self.executed_ids.update(chosen["executed_ids"])
-                for request_id in list(self.pending):
-                    if request_id in self.executed_ids:
-                        self.pending.pop(request_id, None)
-                        self._pending_since.pop(request_id, None)
-                break
+        report = message.payload
+        reports = self._sync_reports
+        reports[message.src] = report
+        seq = report["seq"]
+        if seq <= self.executed_seq:
+            return
+        digest = report["digest"]
+        chosen = None
+        matches = 0
+        for other in reports.values():
+            if other["seq"] == seq and other["digest"] == digest:
+                if chosen is None:
+                    chosen = other
+                matches += 1
+        if matches < self.f + 1:
+            return
+        self.executed_seq = seq
+        self.view = max(self.view, chosen["view"])
+        self.service.restore(chosen["snapshot"])
+        self._state_digest = None
+        self._sync_payload = None
+        self.response_cache.update(chosen["cache"])
+        self.executed_ids.update(chosen["executed_ids"])
+        for request_id in list(self.pending):
+            if request_id in self.executed_ids:
+                self.pending.pop(request_id, None)
+                self._pending_since.pop(request_id, None)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks.  (The direct connection-probe attack surface is

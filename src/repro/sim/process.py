@@ -44,6 +44,12 @@ class ProcessState(enum.Enum):
     STOPPED = "stopped"
 
 
+#: Bound once: a module global is several times cheaper to read than an
+#: enum class attribute, and the crash/respawn pair runs at probe rate.
+_RUNNING = ProcessState.RUNNING
+_CRASHED = ProcessState.CRASHED
+
+
 class SimProcess:
     """Base class for all simulated nodes.
 
@@ -159,10 +165,10 @@ class SimProcess:
         close, which is the attacker's observation channel.  If the process
         has a forking daemon, a respawn is scheduled.
         """
-        if self.state is not ProcessState.RUNNING:
+        if self.state is not _RUNNING:
             return
         self.crash_count += 1
-        self.state = ProcessState.CRASHED  # _set_state, inlined (hot)
+        self.state = _CRASHED  # _set_state, inlined (hot)
         listeners = self._state_listeners
         if listeners:
             for listener in listeners:
@@ -181,10 +187,10 @@ class SimProcess:
         powered-off machine, so mid-outage respawns are dropped (the
         daemon itself is down with the machine).
         """
-        if self.state is not ProcessState.CRASHED or self._in_outage:
+        if self.state is not _CRASHED or self._in_outage:
             return
         self.respawn_count += 1
-        self.state = ProcessState.RUNNING  # _set_state, inlined (hot)
+        self.state = _RUNNING  # _set_state, inlined (hot)
         listeners = self._state_listeners
         if listeners:
             for listener in listeners:

@@ -3,7 +3,10 @@ launch pads."""
 
 from __future__ import annotations
 
+import itertools
 import random
+
+import pytest
 
 from repro.attacker.agent import AttackerProcess
 from repro.attacker.probe import connection_probe, is_intrusion_ack, request_probe
@@ -183,3 +186,22 @@ def test_launchpad_fails_over_to_other_compromised_proxy():
     network.process(first_host).begin_reboot(0.0)
     assert len(attacker._launchpad_drivers) == 1
     assert next(iter(attacker._launchpad_drivers)) != first_host
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_launchpad_goes_to_the_earliest_compromised_proxy(order):
+    """Host choice follows compromise order, never object addresses: the
+    first-compromised proxy hosts the launch pad, and when it is
+    refreshed the stream moves to the next-compromised one."""
+    sim, network, attacker = build_arena(entropy=12, omega=4.0)
+    proxies = [
+        add_target(sim, network, f"proxy-{i}", entropy=12, seed=i) for i in range(3)
+    ]
+    add_target(sim, network, "server-0", entropy=12, seed=9)
+    attacker.enable_launchpad(proxies, ["server-0"], pool_id="server-tier")
+    for index in order:
+        proxies[index].mark_compromised()
+    first, second, _ = (proxies[index].name for index in order)
+    assert list(attacker._launchpad_drivers) == [first]
+    network.process(first).begin_reboot(0.0)
+    assert list(attacker._launchpad_drivers) == [second]

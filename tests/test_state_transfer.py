@@ -10,6 +10,11 @@ changed, and each is checked here against what it replaces:
   tap on every ``SYNC_RESPONSE`` of an attacked S0 deployment with a
   writing client checks each reported digest against the snapshot it
   ships;
+* an SMR replica memoizes its whole ``SYNC_RESPONSE`` payload and sends
+  the same object to every asker; a tap on every answered sync request
+  (under attack, with client writes and a forced view change) checks
+  each sent payload against one built fresh from the replica's state,
+  and a deep copy taken at send time proves no receiver mutated it;
 * ``KVStoreService`` copies scalar-only data with a flat ``dict`` copy;
   services restored from one shared snapshot must stay independent.
 
@@ -20,6 +25,7 @@ after signing must fail verification.
 from __future__ import annotations
 
 import collections
+import copy
 import hashlib
 import random
 from enum import IntEnum
@@ -34,6 +40,7 @@ from repro.core.specs import s0
 from repro.crypto.signatures import Signed, SignatureAuthority, canonical_bytes
 from repro.errors import CryptoError
 from repro.net.message import Message
+from repro.net.network import Network
 from repro.randomization.obfuscation import Scheme
 from repro.replication.primary_backup import SYNC_REQUEST, SYNC_RESPONSE
 from repro.replication.smr import SMRReplica
@@ -314,3 +321,63 @@ def test_sync_after_adopting_peer_state_reports_the_adopted_state(monkeypatch):
     deployed.sim.run(until=0.2)
     assert reports[-1]["digest"] == peer_state.digest()
     assert reports[-1]["snapshot"] == peer_state.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Memoized SMR sync payload
+# ----------------------------------------------------------------------
+def _fresh_sync_payload(replica: SMRReplica) -> dict:
+    """The SYNC_RESPONSE payload built from scratch, as before the memo."""
+    return {
+        "seq": replica.executed_seq,
+        "view": replica.view,
+        "digest": replica.service.digest(),
+        "snapshot": replica.service.snapshot(),
+        "cache": dict(replica.response_cache),
+        "executed_ids": sorted(replica.executed_ids),
+    }
+
+
+def test_sync_payload_memo_is_fresh_and_never_mutated(monkeypatch):
+    """Every answered sync request of an attacked S0 deployment with a
+    writing client and a forced view change sends exactly the payload a
+    fresh build would, and nobody mutates a payload after it is sent."""
+    outbox = []
+    send = Network.send
+
+    def recording_send(network, message):
+        if message.mtype == SYNC_RESPONSE:
+            outbox.append(message.payload)
+        send(network, message)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    sent = []
+    answer = SMRReplica._DISPATCH[SYNC_REQUEST]
+
+    def tap(replica, message):
+        fresh = _fresh_sync_payload(replica)
+        answer(replica, message)
+        payload = outbox[-1]
+        assert payload == fresh, f"{replica.name} sent a stale sync payload"
+        sent.append((payload, copy.deepcopy(payload)))
+
+    monkeypatch.setitem(SMRReplica._DISPATCH, SYNC_REQUEST, tap)
+    deployed = build_system(s0(Scheme.SO, alpha=0.05, entropy_bits=8), seed=3)
+    client = add_clients(deployed, 1)[0]
+    attach_attacker(deployed)
+    leader = deployed.servers[0]
+    # Power the view-0 leader off while requests are pending: the others
+    # time out and move to view 1.
+    deployed.sim.schedule(3.0, leader.begin_outage)
+    deployed.sim.schedule(5.0, leader.end_outage)
+    deployed.start()
+    deployed.sim.run(until=10.0)
+
+    assert len(sent) == len(outbox)
+    assert client.responses_ok > 0
+    assert any(server.crash_count for server in deployed.servers)
+    assert any(payload["snapshot"]["data"] for payload, _ in sent)
+    assert any(payload["view"] > 0 for payload, _ in sent)
+    assert len({id(payload) for payload, _ in sent}) < len(sent) / 2  # shared
+    for payload, at_send in sent:
+        assert payload == at_send, "a sent sync payload was mutated"
