@@ -6,8 +6,9 @@ P(compromise) to a usable CI costs millions of runs.  This bench prices
 both estimators on one such grid point in *simulated events* (the
 bit-reproducible cost unit; wall time is hardware-dependent):
 
-* **splitting** — one :func:`repro.rare.splitting.run_splitting`
-  estimate; its ``events`` field already charges the pilot wave.
+* **splitting** — one ``estimator="splitting"`` estimate from
+  :func:`repro.core.experiment.estimate_protocol_lifetime`; its
+  ``rare.events`` field already charges the pilot wave.
 * **Monte-Carlo at matched precision** — extrapolated, not run (that is
   the point): a binomial estimate of ``p`` with the splitting CI's
   half-width ``h`` needs ``n ≈ p(1-p)(1.96/h)²`` runs, and the per-run
@@ -44,7 +45,7 @@ from repro.core.experiment import estimate_protocol_lifetime
 from repro.core.specs import s0, s2
 from repro.metrics.stats import Z_95
 from repro.randomization.obfuscation import Scheme
-from repro.rare.splitting import SplittingConfig, run_splitting
+from repro.rare.splitting import SplittingConfig
 from repro.reporting.tables import format_quantity, render_table
 
 SEED = 20260807
@@ -83,9 +84,14 @@ def bench_rare_event(save_table, save_json, smoke, bench_workers):
     events_per_run = mc.events / mc.stats.n
     mc_hits = sum(outcome.compromised for outcome in mc.outcomes)
 
-    rare = run_splitting(
-        spec, root_seed=SEED, max_steps=max_steps, workers=workers, config=config
-    )
+    rare = estimate_protocol_lifetime(
+        spec,
+        max_steps=max_steps,
+        seed0=SEED,
+        workers=workers,
+        estimator="splitting",
+        splitting=config,
+    ).rare
     assert rare.probability > 0.0, "splitting failed to resolve the rare event"
     assert rare.ci_low <= rare.probability <= rare.ci_high
     assert rare.ci_halfwidth > 0.0

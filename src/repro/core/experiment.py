@@ -12,11 +12,13 @@ estimate and every campaign of :mod:`repro.core.campaign`.  Each round
 runs one seed block per still-active point through :func:`_run_blocks`,
 the only code that turns seeds into :class:`ProtocolTask` batches,
 consults the result cache and stores finished blocks; all misses share
-one :class:`repro.mc.executor.TaskExecutor` pass.  Seeds are derived
-*before* dispatch, so estimates are bit-identical for any worker count
-or batch size — including the serial fallback.  ``precision=`` switches
-a point from one fixed-count block to streaming rounds with CI-width
-early stopping, mirroring the Monte-Carlo path.  Censored runs (those
+one :class:`repro.mc.executor.TaskExecutor` pass.  Points bound for
+rare-event splitting then share two more passes: every point's pilot
+wave, then every point's replications.  Seeds are derived *before*
+dispatch, so estimates are bit-identical for any worker count or batch
+size — including the serial fallback.  ``precision=`` switches a point
+from one fixed-count block to streaming rounds with CI-width early
+stopping, mirroring the Monte-Carlo path.  Censored runs (those
 that survive the whole step budget) are never folded into the mean
 silently: the estimate carries a
 :class:`~repro.metrics.stats.CensoredSummary` and early stopping refuses
@@ -29,6 +31,7 @@ import gc
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from ..cache import ResultCache
@@ -491,25 +494,21 @@ def _outcomes_from_payload(
     return outcomes
 
 
-def _cache_fetch(
-    cache: ResultCache, key: str, spec: SystemSpec, seeds: list[int]
-) -> Optional[list[LifetimeOutcome]]:
-    """Decoded outcomes for ``key``, or ``None`` on a (possibly
-    reclassified) miss."""
+def _cache_fetch(cache: ResultCache, key: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode`` of the entry under ``key``, or ``None`` on a (possibly
+    reclassified) miss — the one cache read of the round loop."""
     payload = cache.lookup(key)
     if payload is None:
         return None
     try:
-        return _outcomes_from_payload(spec, payload, seeds)
+        return decode(payload)
     except (KeyError, TypeError, ValueError):
-        # A readable entry that doesn't decode to the requested block is
-        # as good as corrupt: reclassify the lookup as a miss and let
-        # the caller recompute (and overwrite the entry).
+        # A readable entry that doesn't decode to the request is as
+        # good as corrupt: reclassify the lookup as a miss and let the
+        # caller recompute (and overwrite the entry).
         cache.hits -= 1
         cache.misses += 1
         return None
-
-
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +582,8 @@ def _run_blocks(
                         block.spec, block.seeds, max_steps, build_kwargs, scenario
                     )
                 )
-                cached = _cache_fetch(cache, block.key, block.spec, block.seeds)
+                decode = partial(_outcomes_from_payload, block.spec, seeds=block.seeds)
+                cached = _cache_fetch(cache, block.key, decode)
                 if cached is not None:
                     block.batches = [cached]
                     if on_outcomes is not None:
@@ -636,9 +636,15 @@ class _Point:
     lost: bool = False  # supervision quarantined some of its work
     warned: bool = False  # the censored-lower-bound warning went out
     done: bool = False  # out of the Monte-Carlo rounds
-    split: bool = False  # waiting for the splitting pass
+    split: bool = False  # waiting for the splitting passes
     refused: Optional[CensoredPrecisionError] = None
     estimate: Optional[LifetimeEstimate] = None
+    # Splitting: the cache key, surviving pilot results, placed levels
+    # and one slot per replication task.
+    key: Optional[str] = None
+    pilot: list = field(default_factory=list)
+    levels: tuple[float, ...] = ()
+    reps: list = field(default_factory=list)
 
 
 def _check_options(
@@ -761,16 +767,15 @@ def _estimate_points(
     :data:`PRECISION_ROUND_SEEDS` — then folds every block into its
     point and applies the stop rules.  Points that leave the rounds for
     rare-event splitting (``estimator="splitting"``, or ``"auto"`` on a
-    censor-heavy point) then run on the same executor, charged the
-    Monte-Carlo events they already spent.
+    censor-heavy point) then share two passes on the same executor —
+    every pilot task, then every replication — charged the Monte-Carlo
+    events they already spent.
 
     Results land on the points: ``estimate`` (left ``None`` when every
     run was quarantined), or ``refused`` for a precision point the
     ``"mc"`` estimator cannot report.  An interrupt still folds the
     blocks that landed before it propagates.
     """
-    from ..rare.splitting import SplittingConfig, run_splitting  # layering
-
     _check_options(
         trials=trials,
         batch_size=batch_size,
@@ -818,41 +823,120 @@ def _estimate_points(
                         )
         active = [point for point in active if not point.done]
 
+    # Splitting: one pass runs every split point's pilot tasks, levels
+    # are placed per point, and a second pass runs every replication.
+    # A point is folded, and stored if whole, from the result callback
+    # as its last replication lands, so an interrupt loses only the
+    # points in flight.  Quarantined pilot batches and replications are
+    # skipped and the survivors folded (never cached); a point with
+    # none left is lost.
     needy = [point for point in points if point.split]
     if not needy:
         return
-    config = splitting if splitting is not None else SplittingConfig()
-    with span("campaign.dispatch", estimator="splitting", grid_points=len(needy)):
+    from ..rare import splitting as rare  # layering; runners resolve at call time
+    from ..sim.rng import derive_seed
+
+    config = splitting or rare.SplittingConfig()
+    frozen_kwargs = tuple(sorted(build_kwargs.items()))
+    pilot: list[tuple[_Point, Any]] = []  # (owner, task) per pilot task
+    reps: list[tuple[_Point, int, Any]] = []  # (owner, slot, task)
+
+    def finish(point: _Point, folded: "RareEventEstimate | None") -> None:
+        point.split = False
+        if folded is None:  # no pilot run or replication survived
+            point.lost = True
+            return
+        point.lost = point.lost or (
+            folded.pilot_runs < config.pilot_runs
+            or folded.replications < config.replications
+        )
+        # The pilot wave is plain unconditioned runs, bit-identical to
+        # what "mc" would produce for those seeds; ``rare`` carries the
+        # folded rare-event probability.
+        point.estimate = replace(
+            _aggregate(point.spec, list(folded.pilot_outcomes)),
+            estimator="splitting",
+            rare=folded,
+            events=folded.events + sum(o.events for o in point.outcomes),
+        )
+        if on_outcomes is not None:
+            on_outcomes(point.estimate.outcomes)
+
+    def fold(index: int, result) -> None:
+        point, slot, _ = reps[index]
+        point.reps[slot] = result
+        if None in point.reps:
+            return
+        survivors = [rep for rep in point.reps if not isinstance(rep, Quarantined)]
+        folded = None
+        if survivors:
+            folded = rare._fold(config, point.levels, point.pilot, survivors)
+            whole = (
+                len(point.pilot) == config.pilot_runs
+                and len(survivors) == config.replications
+            )
+            if whole and point.key is not None:
+                cache.store(point.key, rare._estimate_payload(folded, survivors))
+        finish(point, folded)
+
+    with span("campaign.prepare", estimator="splitting", grid_points=len(needy)):
         for point in needy:
-            rare = run_splitting(
-                point.spec,
-                root_seed=point.seed_for(0),
-                max_steps=max_steps,
-                config=config,
-                executor=executor,
-                scenario=scenario,
-                cache=cache,
-                **build_kwargs,
-            )
-            point.split = False
-            if rare is None:  # no pilot run or replication survived
-                point.lost = True
-                continue
-            point.lost = point.lost or (
-                rare.pilot_runs < config.pilot_runs
-                or rare.replications < config.replications
-            )
-            # The pilot wave is plain unconditioned runs, bit-identical
-            # to what "mc" would produce for those seeds; ``rare``
-            # carries the folded rare-event probability.
-            point.estimate = replace(
-                _aggregate(point.spec, list(rare.pilot_outcomes)),
-                estimator="splitting",
-                rare=rare,
-                events=rare.events + sum(o.events for o in point.outcomes),
-            )
-            if on_outcomes is not None:
-                on_outcomes(point.estimate.outcomes)
+            spec, root = point.spec, point.seed_for(0)
+            if cache is not None:
+                point.key = cache.key_for(
+                    rare._splitting_key_payload(
+                        spec, root, max_steps, build_kwargs, scenario, config
+                    )
+                )
+                decode = partial(rare._estimate_from_payload, spec, config=config)
+                folded = _cache_fetch(cache, point.key, decode)
+                if folded is not None:
+                    finish(point, folded)
+                    continue
+            seeds = [
+                derive_seed(root, f"rare:pilot:{i}") for i in range(config.pilot_runs)
+            ]
+            for batch in _batched(seeds, rare.PILOT_BATCH):
+                task = rare.PilotTask(
+                    spec=spec,
+                    seeds=batch,
+                    max_steps=max_steps,
+                    build_kwargs=frozen_kwargs,
+                    scenario=scenario,
+                    poll_fraction=config.poll_fraction,
+                )
+                pilot.append((point, task))
+    if pilot:
+        with span("campaign.dispatch", estimator="splitting", tasks=len(pilot)):
+            results = executor.map(rare.run_pilot_task, [task for _, task in pilot])
+        with span("campaign.fold", estimator="splitting", grid_points=len(needy)):
+            for (point, _), batch in zip(pilot, results):
+                if not isinstance(batch, Quarantined):
+                    point.pilot.extend(batch)
+            for point in dict.fromkeys(point for point, _ in pilot):
+                if not point.pilot:
+                    finish(point, None)
+                    continue
+                maxima = [level for _, level in point.pilot]
+                point.levels = rare.place_levels(point.spec, config, maxima)
+                point.reps = [None] * config.replications
+                root = point.seed_for(0)
+                for r in range(config.replications):
+                    task = rare.SplittingTask(
+                        spec=point.spec,
+                        seed=derive_seed(root, f"rare:rep:{r}"),
+                        levels=point.levels,
+                        max_steps=max_steps,
+                        trajectories=config.trajectories,
+                        build_kwargs=frozen_kwargs,
+                        scenario=scenario,
+                        poll_fraction=config.poll_fraction,
+                    )
+                    reps.append((point, r, task))
+    if reps:
+        with span("campaign.dispatch", estimator="splitting", tasks=len(reps)):
+            tasks = [task for *_, task in reps]
+            executor.map(rare.run_splitting_task, tasks, on_result=fold)
 
 
 def estimate_protocol_lifetime(
@@ -910,8 +994,9 @@ def estimate_protocol_lifetime(
 
     * ``"mc"`` (default) — plain Monte-Carlo, exactly as before;
     * ``"splitting"`` — rare-event multilevel splitting
-      (:func:`repro.rare.splitting.run_splitting`, shaped by
-      ``splitting=``): the returned estimate's ``outcomes`` are the
+      (:mod:`repro.rare.splitting`, shaped by ``splitting=``; the
+      pilot and replication seeds derive from ``seed_for(0)``): the
+      returned estimate's ``outcomes`` are the
       unconditioned pilot wave and its ``rare`` field carries the
       survival-failure probability with CI — resolvable far below what
       ``max_trials`` Monte-Carlo runs could see;

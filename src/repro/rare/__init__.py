@@ -17,9 +17,17 @@ Three pillars, one module each:
 * :mod:`repro.rare.levels` — the attacker-progress level function and
   its cheap in-simulation crossing probe, plus pilot-quantile level
   placement;
-* :mod:`repro.rare.splitting` — the fixed-effort splitting scheduler
-  running pilot and replication waves through the campaign executor,
-  folded into an unbiased probability with a delta-method CI.
+* :mod:`repro.rare.splitting` — the pilot and replication tasks of
+  fixed-effort splitting, level placement between the two waves, and
+  the fold into an unbiased probability with a delta-method CI.
+
+The waves run inside the protocol round loop
+(:mod:`repro.core.experiment`): a campaign runs the pilot wave of
+every split point in one executor pass and all their replications in a
+second.  Ask for an estimate with
+``estimate_protocol_lifetime(spec, seed0=root_seed,
+estimator="splitting", splitting=config).rare``, or for a whole grid
+with :func:`~repro.core.campaign.run_campaign`.
 """
 
 from .fork import Trajectory, fork_trajectory, reseed_for_split
@@ -34,7 +42,6 @@ from .splitting import (
     RareEventEstimate,
     SplittingConfig,
     SplittingTask,
-    run_splitting,
 )
 
 __all__ = [
@@ -48,6 +55,5 @@ __all__ = [
     "dedupe_levels",
     "fork_trajectory",
     "reseed_for_split",
-    "run_splitting",
     "structural_levels",
 ]

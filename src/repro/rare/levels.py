@@ -188,7 +188,7 @@ def structural_levels(spec: "SystemSpec") -> tuple[float, ...]:
     unbiased, the CI falls back to the rule of three), and a rung below
     what a trajectory already crossed costs nothing (pre-crossed stages
     skip simulation entirely), so the ladder is merged into the level
-    set wholesale by :func:`repro.rare.splitting.run_splitting`.
+    set wholesale by :func:`repro.rare.splitting.place_levels`.
     """
     if spec.system is SystemClass.S0:
         needed = spec.f + 1

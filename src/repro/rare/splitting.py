@@ -12,7 +12,7 @@ where ``M`` is the trajectory's running maximum of Φ.  A compromise
 drives Φ to 1.0, so the events are nested by construction and the
 product telescopes exactly.
 
-Two waves run through the campaign's :class:`~repro.mc.executor.TaskExecutor`:
+An estimate is two waves:
 
 1. a **pilot wave** of plain unconditioned runs — bit-identical to
    :func:`~repro.core.experiment.run_protocol_lifetime` (the level probe
@@ -25,6 +25,11 @@ Two waves run through the campaign's :class:`~repro.mc.executor.TaskExecutor`:
    (cloned with :mod:`repro.rare.fork`, children reseeded from the
    ``"rare:split"`` derivation), non-crossers die, and the final stage's
    "level" is the compromise event itself.
+
+The round loop of :mod:`repro.core.experiment` runs each wave as one
+:class:`~repro.mc.executor.TaskExecutor` pass shared by every split
+point of a campaign; this module supplies the tasks, the level
+placement between the waves, the fold and the cache entry.
 
 Forked simulator states never cross a process boundary — they are not
 safely picklable, and they do not need to be: a replication is one
@@ -43,7 +48,6 @@ CI of :func:`repro.metrics.stats.splitting_probability`.
 from __future__ import annotations
 
 import gc
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -53,7 +57,6 @@ from ..metrics.stats import (
     splitting_probability,
 )
 from ..sim.rng import derive_seed
-from ..supervision.policy import Quarantined
 from .fork import Trajectory, child_seed, reseed_for_split
 from .levels import (
     DEFAULT_POLL_FRACTION,
@@ -64,10 +67,8 @@ from .levels import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..cache import ResultCache
     from ..core.experiment import LifetimeOutcome
     from ..core.specs import SystemSpec
-    from ..mc.executor import TaskExecutor
     from ..scenarios.spec import ScenarioSpec
 
 #: Pilot seeds dispatched per task (same amortization trade-off as
@@ -386,8 +387,34 @@ def run_splitting_task(task: SplittingTask) -> SplittingReplication:
 
 
 # ----------------------------------------------------------------------
-# Scheduler
+# Level placement, fold and cache entry (the passes run in
+# repro.core.experiment's round loop)
 # ----------------------------------------------------------------------
+def place_levels(
+    spec: "SystemSpec", config: SplittingConfig, pilot_maxima: Sequence[float]
+) -> tuple[float, ...]:
+    """The splitting levels of one point, from its pilot wave's maxima of Φ.
+
+    Pilot quantiles (:func:`~repro.rare.levels.choose_levels`) merged
+    with the structural simultaneity ladder, then deduplicated to
+    ``config.min_gap``.
+    """
+    merged = set(
+        choose_levels(
+            pilot_maxima,
+            p0=config.p0,
+            max_levels=config.max_levels,
+            min_tail=config.min_tail,
+        )
+    )
+    # The simultaneity ladder reaches past what the pilot wave can
+    # resolve; keep every rung that is selective (at least one pilot
+    # run stayed below it) — see structural_levels.
+    floor = min(pilot_maxima)
+    merged.update(r for r in structural_levels(spec) if floor < r < 1.0)
+    return dedupe_levels(sorted(merged), config.min_gap)
+
+
 def _fold(
     config: SplittingConfig,
     levels: tuple[float, ...],
@@ -511,126 +538,3 @@ def _estimate_from_payload(
         raise ValueError("cached splitting entry does not match the request")
     levels = tuple(float(level) for level in payload["levels"])
     return _fold(config, levels, pilot_results, replications)
-
-
-def run_splitting(
-    spec: "SystemSpec",
-    *,
-    root_seed: int,
-    max_steps: int,
-    config: Optional[SplittingConfig] = None,
-    executor: "TaskExecutor | None" = None,
-    workers: Optional[int] = None,
-    scenario: "ScenarioSpec | None" = None,
-    cache: "ResultCache | None" = None,
-    **build_kwargs,
-) -> Optional[RareEventEstimate]:
-    """Estimate P(compromise within ``max_steps``) by multilevel splitting.
-
-    Pilot and replication waves fan out through ``executor`` (or a fresh
-    :class:`~repro.mc.executor.TaskExecutor` over ``workers``); every
-    seed derives from ``root_seed`` before dispatch, so the estimate is
-    bit-identical for any worker count or batch size.  With ``cache``
-    set, the whole estimate (both waves) is one content-addressed entry:
-    a warm call dispatches nothing and refolds the stored waves.
-
-    Under a supervised executor, quarantined pilot batches and
-    replications are skipped and the survivors folded; such an estimate
-    is never cached.  ``None`` means no pilot run or no replication
-    survived.
-    """
-    from ..core.experiment import _batched  # deferred: layering
-    from ..mc.executor import TaskExecutor  # deferred: avoids cycle
-
-    if config is None:
-        config = SplittingConfig()
-    key = None
-    if cache is not None:
-        key = cache.key_for(
-            _splitting_key_payload(
-                spec, root_seed, max_steps, build_kwargs, scenario, config
-            )
-        )
-        payload = cache.lookup(key)
-        if payload is not None:
-            try:
-                return _estimate_from_payload(spec, payload, config)
-            except (KeyError, TypeError, ValueError):
-                # Readable but not decodable as this request: treat as a
-                # miss and recompute (overwriting the entry).
-                cache.hits -= 1
-                cache.misses += 1
-    owns_executor = executor is None
-    if executor is None:
-        executor = TaskExecutor(workers)
-    frozen_kwargs = tuple(sorted(build_kwargs.items()))
-    pilot_seeds = [
-        derive_seed(root_seed, f"rare:pilot:{i}") for i in range(config.pilot_runs)
-    ]
-    pilot_tasks = [
-        PilotTask(
-            spec=spec,
-            seeds=batch,
-            max_steps=max_steps,
-            build_kwargs=frozen_kwargs,
-            scenario=scenario,
-            poll_fraction=config.poll_fraction,
-        )
-        for batch in _batched(pilot_seeds, PILOT_BATCH)
-    ]
-    with ExitStack() as stack:
-        if owns_executor:
-            stack.enter_context(executor)
-        # A supervised executor may quarantine pilot batches or
-        # replications: fold the survivors (replications are iid).
-        pilot_results = [
-            result
-            for batch in executor.map(run_pilot_task, pilot_tasks)
-            if not isinstance(batch, Quarantined)
-            for result in batch
-        ]
-        if not pilot_results:
-            return None
-        pilot_maxima = [max_level for _, max_level in pilot_results]
-        merged = set(
-            choose_levels(
-                pilot_maxima,
-                p0=config.p0,
-                max_levels=config.max_levels,
-                min_tail=config.min_tail,
-            )
-        )
-        # The simultaneity ladder reaches past what the pilot wave can
-        # resolve; keep every rung that is selective (at least one pilot
-        # run stayed below it) — see structural_levels.
-        floor = min(pilot_maxima)
-        merged.update(r for r in structural_levels(spec) if floor < r < 1.0)
-        levels = dedupe_levels(sorted(merged), config.min_gap)
-        replication_tasks = [
-            SplittingTask(
-                spec=spec,
-                seed=derive_seed(root_seed, f"rare:rep:{r}"),
-                levels=levels,
-                max_steps=max_steps,
-                trajectories=config.trajectories,
-                build_kwargs=frozen_kwargs,
-                scenario=scenario,
-                poll_fraction=config.poll_fraction,
-            )
-            for r in range(config.replications)
-        ]
-        replications = [
-            rep
-            for rep in executor.map(run_splitting_task, replication_tasks)
-            if not isinstance(rep, Quarantined)
-        ]
-    if not replications:
-        return None
-    estimate = _fold(config, levels, pilot_results, replications)
-    whole = (
-        len(pilot_results) == config.pilot_runs
-        and len(replications) == config.replications
-    )
-    if cache is not None and key is not None and whole:
-        cache.store(key, _estimate_payload(estimate, replications))
-    return estimate

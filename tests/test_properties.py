@@ -24,7 +24,11 @@ from repro.analysis.markov import AbsorbingMarkovChain, geometric_chain
 from repro.analysis.period import el_s2_po_with_period
 from repro.attacker.keytracker import KeyGuessTracker
 from repro.crypto.signatures import SignatureAuthority, canonical_bytes
-from repro.metrics.stats import summarize
+from repro.metrics.stats import (
+    SplittingLevelStat,
+    splitting_probability,
+    summarize,
+)
 from repro.randomization.keyspace import KeySpace
 
 alphas = st.floats(min_value=1e-6, max_value=0.5, allow_nan=False)
@@ -215,3 +219,34 @@ def test_summarize_bounds(values):
     assert stats.minimum - slack <= stats.mean <= stats.maximum + slack
     assert stats.ci_low - slack <= stats.mean <= stats.ci_high + slack
     assert stats.std >= 0.0
+
+
+@st.composite
+def stage_counts(draw):
+    """Pooled per-stage (launched, crossed) counts of one splitting fold."""
+    stages = draw(st.integers(1, 6))
+    counts = []
+    for _ in range(stages):
+        n = draw(st.integers(1, 500))
+        counts.append((n, draw(st.integers(0, n))))
+    return [
+        SplittingLevelStat(
+            level=None if k == stages - 1 else (k + 1) / stages, n=n, crossed=crossed
+        )
+        for k, (n, crossed) in enumerate(counts)
+    ]
+
+
+@given(
+    level_stats=stage_counts(),
+    products=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_splitting_probability_is_a_bracketed_probability(level_stats, products):
+    estimate = splitting_probability(level_stats, products)
+    assert 0.0 <= estimate.ci_low <= estimate.probability
+    assert estimate.probability <= estimate.ci_high <= 1.0

@@ -49,7 +49,6 @@ from repro.rare.splitting import (
     SplittingConfig,
     SplittingTask,
     _new_trajectory,
-    run_splitting,
 )
 from repro.sim.rng import derive_seed
 
@@ -94,7 +93,9 @@ class TestForking:
 
     def test_fork_replays_bit_identically(self):
         seed = 10  # compromises at t ~ 8.3, so it is undecided at the fork
-        reference = run_protocol_lifetime(self.SPEC, seed=seed, max_steps=self.MAX_STEPS)
+        reference = run_protocol_lifetime(
+            self.SPEC, seed=seed, max_steps=self.MAX_STEPS
+        )
         assert reference.compromised
         trajectory = self._undecided_trajectory(seed, until=6.0)
         clone = fork_trajectory(trajectory)
@@ -197,7 +198,9 @@ class TestLevels:
         # sub-rungs toward the second.
         assert structural_levels(s0(Scheme.PO)) == (0.5, 0.625, 0.75, 0.875)
         ladder = structural_levels(s2(Scheme.PO))  # 3 proxies
-        assert ladder == tuple((k + q) / 3 for k in (1, 2) for q in (0, 0.25, 0.5, 0.75))
+        assert ladder == tuple(
+            (k + q) / 3 for k in (1, 2) for q in (0, 0.25, 0.5, 0.75)
+        )
         assert all(0.0 < level < 1.0 for level in ladder)
 
     def test_dedupe_levels(self):
@@ -261,6 +264,19 @@ class TestLevels:
 SMALL_CONFIG = SplittingConfig(pilot_runs=8, replications=2, trajectories=6)
 
 
+def _splitting(spec, root_seed, max_steps, workers, config=SMALL_CONFIG, **kwargs):
+    """One splitting estimate: the single-point face of the round loop."""
+    return estimate_protocol_lifetime(
+        spec,
+        max_steps=max_steps,
+        seed0=root_seed,
+        workers=workers,
+        estimator="splitting",
+        splitting=config,
+        **kwargs,
+    ).rare
+
+
 class TestSplittingEstimator:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -294,12 +310,8 @@ class TestSplittingEstimator:
 
     def test_worker_invariance(self):
         spec = s2(Scheme.PO, entropy_bits=8, alpha=0.1, kappa=0.8)
-        serial = run_splitting(
-            spec, root_seed=7, max_steps=15, workers=1, config=SMALL_CONFIG
-        )
-        parallel = run_splitting(
-            spec, root_seed=7, max_steps=15, workers=2, config=SMALL_CONFIG
-        )
+        serial = _splitting(spec, root_seed=7, max_steps=15, workers=1)
+        parallel = _splitting(spec, root_seed=7, max_steps=15, workers=2)
         assert serial.probability == parallel.probability
         assert serial.levels == parallel.levels
         assert serial.level_stats == parallel.level_stats
@@ -379,13 +391,9 @@ class TestSplittingEstimator:
 
         spec = s2(Scheme.PO, entropy_bits=8, alpha=0.1, kappa=0.8)
         cache = ResultCache(tmp_path)
-        cold = run_splitting(
-            spec, root_seed=3, max_steps=15, workers=2, config=SMALL_CONFIG, cache=cache
-        )
+        cold = _splitting(spec, root_seed=3, max_steps=15, workers=2, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        warm = run_splitting(
-            spec, root_seed=3, max_steps=15, workers=1, config=SMALL_CONFIG, cache=cache
-        )
+        warm = _splitting(spec, root_seed=3, max_steps=15, workers=1, cache=cache)
         assert (cache.hits, cache.misses) == (1, 1)
         assert warm.probability == cold.probability
         assert warm.ci_low == cold.ci_low
@@ -397,7 +405,7 @@ class TestSplittingEstimator:
             _outcome_view(o) for o in cold.pilot_outcomes
         ]
         # A different config is a different key, not a stale hit.
-        other = run_splitting(
+        other = _splitting(
             spec,
             root_seed=3,
             max_steps=15,

@@ -34,6 +34,7 @@ from repro.core.specs import SystemClass, s1
 from repro.core.timing import TimingSpec
 from repro.errors import ConfigurationError
 from repro.randomization.obfuscation import Scheme
+from repro.rare.splitting import SplittingConfig
 
 
 def _small_grid():
@@ -47,6 +48,10 @@ def _small_grid():
 
 
 CAMPAIGN_KW = dict(trials=3, max_steps=50, seed=11)
+SPLITTING_KW = dict(
+    estimator="splitting",
+    splitting=SplittingConfig(pilot_runs=4, replications=2, trajectories=2),
+)
 
 
 def _estimates_payload(result) -> list:
@@ -195,6 +200,21 @@ def test_warm_campaign_dispatches_nothing(tmp_path, monkeypatch):
     assert warm.total_runs == len(specs) * CAMPAIGN_KW["trials"]
 
 
+def test_warm_splitting_campaign_dispatches_nothing(tmp_path, monkeypatch):
+    specs = _small_grid()
+    cache = ResultCache(tmp_path)
+    cold = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **SPLITTING_KW)
+
+    def refuse(task):
+        raise AssertionError("a fully warm campaign must not dispatch tasks")
+
+    monkeypatch.setattr("repro.rare.splitting.run_pilot_task", refuse)
+    monkeypatch.setattr("repro.rare.splitting.run_splitting_task", refuse)
+    warm = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **SPLITTING_KW)
+    assert (warm.cache_hits, warm.cache_misses) == (len(specs), 0)
+    assert warm.estimates == cold.estimates
+
+
 def test_warm_hits_are_fanout_invariant(tmp_path, monkeypatch):
     """Entries written by a serial campaign satisfy a parallel-configured
     one (and its serial-fallback path): keys never see the fan-out."""
@@ -241,21 +261,29 @@ def test_engine_version_bump_invalidates_campaign(tmp_path):
     assert rerun.cache_hits == 0 and rerun.cache_misses == len(specs)
 
 
-def test_undecodable_entry_is_reclassified_as_miss(tmp_path):
-    """A well-formed entry whose payload doesn't decode to the requested
-    outcome block (e.g. written by a buggy tool) must recompute, and the
-    hit/miss counters must reflect the reclassification."""
+def _undecodable_entries_recompute(tmp_path, **kwargs):
+    """A well-formed entry whose payload doesn't decode to the request
+    (e.g. written by a buggy tool) must recompute bit-identically, and
+    the hit/miss counters must reflect the reclassification."""
     specs = _small_grid()[:1]
     cache = ResultCache(tmp_path)
-    cold = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW)
+    cold = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **kwargs)
     for entry_path in tmp_path.rglob("*.json"):
         entry = json.loads(entry_path.read_text())
         entry["payload"] = [{"nonsense": True}]
         entry_path.write_text(json.dumps(entry))
     cache = ResultCache(tmp_path)
-    rerun = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW)
+    rerun = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **kwargs)
     assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
-    assert _estimates_payload(rerun) == _estimates_payload(cold)
+    assert rerun.estimates == cold.estimates
+
+
+def test_undecodable_entry_is_reclassified_as_miss(tmp_path):
+    _undecodable_entries_recompute(tmp_path)
+
+
+def test_undecodable_splitting_entry_is_reclassified_as_miss(tmp_path):
+    _undecodable_entries_recompute(tmp_path, **SPLITTING_KW)
 
 
 def test_campaign_record_cache_section(tmp_path):
