@@ -4,28 +4,23 @@ PR 4 rewrote the innermost loop of the protocol simulator: list-entry
 event heap with no-handle scheduling, ``__slots__`` messaging with
 listener tuples and notification/sync/multicast event elision, epoch
 fast-forward for decided runs, and chunked attacker RNG pulls.  This
-bench is the referee for that work, in three parts:
+bench records the current engine's speed on that path, in three parts:
 
 1. **Kernel micro** — events/sec through a self-rescheduling timer
-   workload, on the old dataclass-``Event`` kernel and on the new one.
+   workload.
 2. **Messaging micro** — datagrams/sec through ``Network.send`` +
-   delivery on both stacks.
+   delivery.
 3. **Single-run protocol speed** — runs/sec of full S2SO lifetimes on
    the paper configuration used throughout the bench suite (α = 0.15,
-   κ = 0.5, χ = 2⁸, paper timing, 400-step budget), old vs. new.
+   κ = 0.5, χ = 2⁸, paper timing, 400-step budget).
 
-The "old" side is the frozen pre-refactor snapshot vendored under
-``benchmarks/legacy_pr3/`` (verbatim PR 3 code), so every comparison is
-a same-process, same-machine-state A/B — robust against the noisy
-shared runners this repo benches on, where absolute runs/sec swing by
-±20% between sessions while the old/new ratio stays put.
-
-Asserted (non-smoke): bit-identical outcomes between the two stacks on
-every measured seed, a ≥ 2× kernel micro speedup, and the acceptance
-bar — a **≥ 3× single-run protocol speedup** on the S2SO paper
-configuration.  A cProfile of one new-engine run is recorded as a
-top-10 hotspot table so regressions come with a diagnosis.  The JSON
-record persists under ``benchmarks/results/bench_sim_kernel.json``.
+A cProfile of three runs is recorded as a top-10 hotspot table so a
+slowdown comes with a diagnosis.  Nothing is asserted: absolute
+throughput drifts with the host (one figure moved 44 % between sessions
+on the same code), and ``perfbench/`` is the perf gate of record.
+Bit-identity of these runs is pinned by the ``s2_so_paper`` golden in
+``tests/test_fast_path.py``.  The JSON record persists under
+``benchmarks/results/bench_sim_kernel.json``.
 """
 
 from __future__ import annotations
@@ -34,15 +29,6 @@ import cProfile
 import gc
 import pstats
 import time
-
-from legacy_pr3.core.experiment import run_protocol_lifetime as legacy_run_lifetime
-from legacy_pr3.core.specs import s2 as legacy_s2
-from legacy_pr3.core.timing import TimingSpec as LegacyTimingSpec
-from legacy_pr3.net.message import Message as LegacyMessage
-from legacy_pr3.net.network import Network as LegacyNetwork
-from legacy_pr3.randomization.obfuscation import Scheme as LegacyScheme
-from legacy_pr3.sim.engine import Simulator as LegacySimulator
-from legacy_pr3.sim.process import SimProcess as LegacySimProcess
 
 from repro.core.experiment import run_protocol_lifetime
 from repro.core.specs import s2
@@ -70,17 +56,22 @@ RUN_SEEDS = 20  # seeds per timing rep
 RUN_REPS = 5  # timing reps (max taken: shields against runner noise)
 WARMUP_SEEDS = 5
 
-MIN_KERNEL_SPEEDUP = 2.0
-MIN_RUN_SPEEDUP = 3.0
+#: Speedups over the pre-refactor engine (commit 962a1f9) in the last
+#: same-process A/B against a frozen copy of it, measured at commit
+#: d1e46bb (full scale, best of 5 reps) before the copy was deleted.
+#: History, not a measurement of the current tree: shown in the table,
+#: never written to the JSON record.
+AB_COMMIT = "d1e46bb"
+AB_SPEEDUPS = {"kernel": 2.09, "messages": 2.34, "runs": 3.46}
 
 
 # ----------------------------------------------------------------------
-# Micro workloads (identical shape on both stacks)
+# Micro workloads
 # ----------------------------------------------------------------------
-def _bench_kernel(simulator_cls, n_events: int) -> float:
+def _bench_kernel(n_events: int) -> float:
     """Events/sec of a self-rescheduling timer mesh (the engine's native
     idiom: every probe driver and protocol timer is such a chain)."""
-    sim = simulator_cls(seed=1)
+    sim = Simulator(seed=1)
 
     def tick(i: int) -> None:
         sim.schedule(1.0 + (i % 7) * 0.001, tick, i)
@@ -92,26 +83,22 @@ def _bench_kernel(simulator_cls, n_events: int) -> float:
     return n_events / (time.perf_counter() - start)
 
 
-def _bench_messages(
-    simulator_cls, network_cls, message_cls, process_cls, n: int
-) -> float:
+def _bench_messages(n: int) -> float:
     """Datagrams/sec through send + scheduled delivery, ping-pong style."""
-    sim = simulator_cls(seed=1)
-    network = network_cls(sim)
+    sim = Simulator(seed=1)
+    network = Network(sim)
     budget = [n]
 
-    class Echo(process_cls):
+    class Echo(SimProcess):
         def handle_message(self, message) -> None:
             if budget[0] > 0:
                 budget[0] -= 1
-                network.send(
-                    message_cls(self.name, message.src, "ping", {"n": budget[0]})
-                )
+                network.send(Message(self.name, message.src, "ping", {"n": budget[0]}))
 
     a, b = Echo(sim, "a"), Echo(sim, "b")
     network.register(a)
     network.register(b)
-    network.send(message_cls("a", "b", "ping", {"n": n}))
+    network.send(Message("a", "b", "ping", {"n": n}))
     start = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - start
@@ -121,34 +108,21 @@ def _bench_messages(
 # ----------------------------------------------------------------------
 # Single-run protocol speed
 # ----------------------------------------------------------------------
-def _outcome_key(outcome) -> tuple:
-    return (
-        outcome.compromised,
-        outcome.steps,
-        outcome.time,
-        outcome.cause,
-        outcome.probes_direct,
-        outcome.probes_indirect,
-    )
-
-
-def _bench_runs(run_fn, spec, timing, seeds: int, reps: int) -> tuple[float, list]:
-    """Best-of-``reps`` runs/sec over ``seeds`` lifetimes + outcome keys."""
-    outcomes = []
+def _bench_runs(spec, timing, seeds: int, reps: int) -> float:
+    """Best-of-``reps`` runs/sec over ``seeds`` lifetimes."""
     for seed in range(WARMUP_SEEDS):
-        run_fn(spec, seed=seed, max_steps=MAX_STEPS, timing=timing)
+        run_protocol_lifetime(spec, seed=seed, max_steps=MAX_STEPS, timing=timing)
     best = 0.0
     for _ in range(reps):
-        outcomes = []
         start = time.perf_counter()
         for seed in range(seeds):
-            outcomes.append(run_fn(spec, seed=seed, max_steps=MAX_STEPS, timing=timing))
+            run_protocol_lifetime(spec, seed=seed, max_steps=MAX_STEPS, timing=timing)
         best = max(best, seeds / (time.perf_counter() - start))
-    return best, [_outcome_key(o) for o in outcomes]
+    return best
 
 
 def _profile_hotspots(spec, timing, runs: int = 3, top: int = 10) -> list[list[str]]:
-    """cProfile top-``top`` rows (by internal time) for new-engine runs."""
+    """cProfile top-``top`` rows (by internal time) for ``runs`` runs."""
     profiler = cProfile.Profile()
     profiler.enable()
     for seed in range(runs):
@@ -164,48 +138,21 @@ def _profile_hotspots(spec, timing, runs: int = 3, top: int = 10) -> list[list[s
 
 
 def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
-    """Old-vs-new kernel, messaging and single-run protocol speed."""
+    """Kernel, messaging and single-run protocol speed of the engine."""
     kernel_events = scale_trials(KERNEL_EVENTS, floor=10_000)
     messages = scale_trials(MESSAGES, floor=5_000)
     run_seeds = max(4, scale_trials(RUN_SEEDS, floor=4))
     run_reps = 1 if smoke else RUN_REPS
 
-    legacy_eps = _bench_kernel(LegacySimulator, kernel_events)
-    new_eps = _bench_kernel(Simulator, kernel_events)
-    kernel_speedup = new_eps / legacy_eps
-
-    legacy_mps = _bench_messages(
-        LegacySimulator, LegacyNetwork, LegacyMessage, LegacySimProcess, messages
-    )
-    new_mps = _bench_messages(Simulator, Network, Message, SimProcess, messages)
-    message_speedup = new_mps / legacy_mps
+    kernel_eps = _bench_kernel(kernel_events)
+    mps = _bench_messages(messages)
 
     spec = s2(Scheme.SO, alpha=ALPHA, kappa=KAPPA, entropy_bits=ENTROPY)
     timing = TimingSpec.named(TIMING_PRESET)
-    legacy_spec = legacy_s2(
-        LegacyScheme.SO, alpha=ALPHA, kappa=KAPPA, entropy_bits=ENTROPY
-    )
-    legacy_timing = LegacyTimingSpec.named(TIMING_PRESET)
-
-    # Legacy leg first, each leg behind a full collection: the old stack
-    # must not be billed for cyclic garbage the micro legs piled up (nor
-    # profit from it — the new stack pauses GC during runs by design).
+    # The runs must not be billed for cyclic garbage the micro legs
+    # piled up (the engine pauses GC during runs by design).
     gc.collect()
-    legacy_rps, legacy_outcomes = _bench_runs(
-        legacy_run_lifetime, legacy_spec, legacy_timing, run_seeds, run_reps
-    )
-    gc.collect()
-    new_rps, new_outcomes = _bench_runs(
-        run_protocol_lifetime, spec, timing, run_seeds, run_reps
-    )
-    run_speedup = new_rps / legacy_rps
-
-    # The comparison is only meaningful if both engines simulate the same
-    # campaigns: every per-seed outcome must be bit-identical.
-    assert new_outcomes == legacy_outcomes, (
-        "new engine diverged from the frozen PR 3 stack — the speedup "
-        "comparison (and every figure downstream) is void"
-    )
+    rps = _bench_runs(spec, timing, run_seeds, run_reps)
 
     hotspots = _profile_hotspots(spec, timing)
 
@@ -223,46 +170,31 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
                 "run_seeds": run_seeds,
                 "run_reps": run_reps,
             },
-            "kernel_events_per_sec": {"legacy_pr3": legacy_eps, "new": new_eps},
-            "kernel_speedup": kernel_speedup,
-            "messages_per_sec": {"legacy_pr3": legacy_mps, "new": new_mps},
-            "message_speedup": message_speedup,
-            "runs_per_sec": {"legacy_pr3": legacy_rps, "new": new_rps},
-            "single_run_speedup": run_speedup,
-            "single_run_speedup_target": MIN_RUN_SPEEDUP,
-            "outcomes_bit_identical": True,
+            "kernel_events_per_sec": kernel_eps,
+            "messages_per_sec": mps,
+            "runs_per_sec": rps,
             "profile_top10": hotspots,
         },
     )
+    ab = f"last A/B vs pre-refactor ({AB_COMMIT})"
     save_table(
-        "sim_kernel_speedup",
+        "bench_sim_kernel",
         render_table(
-            ["metric", "legacy (PR 3)", "new", "speedup"],
+            ["metric", "current engine", ab],
             [
                 [
                     "kernel events/sec",
-                    f"{legacy_eps:,.0f}",
-                    f"{new_eps:,.0f}",
-                    f"{kernel_speedup:.2f}x",
+                    f"{kernel_eps:,.0f}",
+                    f"{AB_SPEEDUPS['kernel']:.2f}x",
                 ],
-                [
-                    "messages/sec",
-                    f"{legacy_mps:,.0f}",
-                    f"{new_mps:,.0f}",
-                    f"{message_speedup:.2f}x",
-                ],
-                [
-                    "S2SO runs/sec",
-                    f"{legacy_rps:.1f}",
-                    f"{new_rps:.1f}",
-                    f"{run_speedup:.2f}x",
-                ],
+                ["messages/sec", f"{mps:,.0f}", f"{AB_SPEEDUPS['messages']:.2f}x"],
+                ["S2SO runs/sec", f"{rps:.1f}", f"{AB_SPEEDUPS['runs']:.2f}x"],
             ],
             title=(
-                "Simulation-kernel fast path: frozen PR 3 stack vs new engine "
-                f"(same process; S2SO alpha={ALPHA}, kappa={KAPPA}, "
-                f"chi=2^{ENTROPY}, {TIMING_PRESET} timing, "
-                f"{run_seeds} seeds x {run_reps} reps, best rep)"
+                "Simulation-kernel fast path "
+                f"(S2SO alpha={ALPHA}, kappa={KAPPA}, chi=2^{ENTROPY}, "
+                f"{TIMING_PRESET} timing, {run_seeds} seeds x {run_reps} reps, "
+                "best rep)"
             ),
         ),
     )
@@ -271,19 +203,6 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
         render_table(
             ["ncalls", "tottime", "cumtime", "function"],
             hotspots,
-            title="cProfile top-10 (tottime) of 3 new-engine S2SO runs",
+            title="cProfile top-10 (tottime) of 3 S2SO runs",
         ),
-    )
-
-    if smoke:
-        # Smoke reps are single-shot on shared runners: record, don't gate.
-        return
-    assert kernel_speedup >= MIN_KERNEL_SPEEDUP, (
-        f"kernel micro only {kernel_speedup:.2f}x over the PR 3 kernel "
-        f"(required {MIN_KERNEL_SPEEDUP}x)"
-    )
-    assert run_speedup >= MIN_RUN_SPEEDUP, (
-        f"single-run S2SO protocol speed only {run_speedup:.2f}x over the "
-        f"frozen PR 3 stack (required {MIN_RUN_SPEEDUP}x; "
-        f"new {new_rps:.1f} vs legacy {legacy_rps:.1f} runs/sec)"
     )

@@ -42,7 +42,9 @@ from ..errors import ConfigurationError
 #: (``metrics``).  Version-2 blocks would still decode (the field is
 #: optional), but replaying them would silently undercount campaign
 #: counter totals, so they are retired instead.
-ENGINE_VERSION = 3
+#:
+#: Version 4: outcomes carry only ``metrics`` (probe/event duplicates dropped).
+ENGINE_VERSION = 4
 
 
 def jsonable(value: Any) -> Any:

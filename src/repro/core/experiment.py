@@ -83,17 +83,13 @@ class LifetimeOutcome:
         Simulated time of compromise (or the horizon).
     cause:
         Human-readable compromise cause, if any.
-    probes_direct, probes_indirect:
-        Attacker effort expended.
-    events:
-        Simulator events the run executed — the honest cost denominator
-        when comparing estimators (wall time is hardware-dependent;
-        event counts are bit-reproducible).
     metrics:
-        Full per-run telemetry sample (:class:`~repro.telemetry.registry.
-        RunMetrics`), read once at run end.  ``None`` on outcomes
-        replayed from pre-telemetry cache entries.  Pure observation —
-        estimators never read it.
+        The run's counters (:class:`~repro.telemetry.registry.RunMetrics`),
+        read once at run end: attacker effort (``probes_direct``,
+        ``probes_indirect``) and ``events_executed``, the estimator-cost
+        unit (wall time is hardware-dependent; event counts are
+        bit-reproducible).  Estimators never read the counters to
+        decide a verdict.
     """
 
     spec: SystemSpec
@@ -102,10 +98,7 @@ class LifetimeOutcome:
     steps: int
     time: float
     cause: Optional[str]
-    probes_direct: int
-    probes_indirect: int
-    events: int = 0
-    metrics: Optional[RunMetrics] = None
+    metrics: RunMetrics
 
 
 def compose_deployment(
@@ -200,10 +193,7 @@ def outcome_from_deployment(
 ) -> LifetimeOutcome:
     """Read the verdict of a finished (or fast-forwarded) run."""
     spec = deployed.spec
-    attacker = deployed.attacker
-    assert attacker is not None
     monitor = deployed.monitor
-    events = deployed.sim.events_executed
     metrics = _sample_run_metrics(deployed)
     if monitor.is_compromised:
         steps = monitor.steps_survived
@@ -215,9 +205,6 @@ def outcome_from_deployment(
             steps=min(steps, max_steps),
             time=monitor.compromised_at or deployed.sim.now,
             cause=monitor.cause,
-            probes_direct=attacker.probes_sent_direct,
-            probes_indirect=attacker.probes_sent_indirect,
-            events=events,
             metrics=metrics,
         )
     return LifetimeOutcome(
@@ -227,9 +214,6 @@ def outcome_from_deployment(
         steps=max_steps,
         time=max_steps * spec.period,
         cause=None,
-        probes_direct=attacker.probes_sent_direct,
-        probes_indirect=attacker.probes_sent_indirect,
-        events=events,
         metrics=metrics,
     )
 
@@ -369,7 +353,7 @@ class LifetimeEstimate:
             )
         if self.events == 0 and self.outcomes:
             object.__setattr__(
-                self, "events", sum(o.events for o in self.outcomes)
+                self, "events", sum(o.metrics.events_executed for o in self.outcomes)
             )
 
     @property
@@ -451,10 +435,7 @@ def _outcome_payload(outcome: LifetimeOutcome) -> dict:
         "steps": outcome.steps,
         "time": outcome.time,
         "cause": outcome.cause,
-        "probes_direct": outcome.probes_direct,
-        "probes_indirect": outcome.probes_indirect,
-        "events": outcome.events,
-        "metrics": None if outcome.metrics is None else outcome.metrics.as_dict(),
+        "metrics": outcome.metrics.as_dict(),
     }
 
 
@@ -463,7 +444,6 @@ def _outcome_from_entry(spec: SystemSpec, entry: Any) -> LifetimeOutcome:
     cause = entry["cause"]
     if cause is not None and not isinstance(cause, str):
         raise ValueError("cached outcome carries a malformed cause")
-    metrics_payload = entry.get("metrics")
     return LifetimeOutcome(
         spec=spec,
         seed=int(entry["seed"]),
@@ -471,12 +451,7 @@ def _outcome_from_entry(spec: SystemSpec, entry: Any) -> LifetimeOutcome:
         steps=int(entry["steps"]),
         time=float(entry["time"]),
         cause=cause,
-        probes_direct=int(entry["probes_direct"]),
-        probes_indirect=int(entry["probes_indirect"]),
-        events=int(entry["events"]),
-        metrics=(
-            None if metrics_payload is None else RunMetrics.from_dict(metrics_payload)
-        ),
+        metrics=RunMetrics.from_dict(entry["metrics"]),
     )
 
 
@@ -853,11 +828,12 @@ def _estimate_points(
         # The pilot wave is plain unconditioned runs, bit-identical to
         # what "mc" would produce for those seeds; ``rare`` carries the
         # folded rare-event probability.
+        mc_events = sum(o.metrics.events_executed for o in point.outcomes)
         point.estimate = replace(
             _aggregate(point.spec, list(folded.pilot_outcomes)),
             estimator="splitting",
             rare=folded,
-            events=folded.events + sum(o.events for o in point.outcomes),
+            events=folded.events + mc_events,
         )
         if on_outcomes is not None:
             on_outcomes(point.estimate.outcomes)

@@ -433,7 +433,7 @@ def _fold(
             )
         )
     folded = splitting_probability(pooled, [rep.product for rep in replications])
-    pilot_events = sum(outcome.events for outcome, _ in pilot_results)
+    pilot_events = sum(o.metrics.events_executed for o, _ in pilot_results)
     compromise_steps: list[int] = []
     for rep in replications:
         compromise_steps.extend(rep.compromise_steps)

@@ -80,7 +80,7 @@ class ProgressReporter:
         steps = []
         for outcome in outcomes:
             self.runs += 1
-            self.events += outcome.events
+            self.events += outcome.metrics.events_executed
             if not outcome.compromised:
                 self.censored += 1
             steps.append(float(outcome.steps))

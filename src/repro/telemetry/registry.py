@@ -42,10 +42,10 @@ class RunMetrics:
 
     Every field is a monotone event count over one protocol run; the
     struct is picklable (it crosses the process-pool result path) and
-    merges by field-wise addition.  ``events_executed`` duplicates
-    :attr:`~repro.core.experiment.LifetimeOutcome.events` deliberately:
-    the outcome field is the estimator-cost contract, this struct is
-    the full observability sample.
+    merges by field-wise addition.  It is the only per-run count a
+    :class:`~repro.core.experiment.LifetimeOutcome` carries:
+    ``events_executed`` is the estimator-cost unit, and
+    ``probes_direct``/``probes_indirect`` are the attacker's effort.
     """
 
     events_executed: int = 0
@@ -71,21 +71,17 @@ class RunMetrics:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunMetrics":
-        """Rebuild from a cache entry; unknown keys are ignored and
-        missing ones default to zero, so snapshots decode across
-        versions instead of invalidating entries."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in payload.items() if k in names})
+        """Rebuild from a cache entry.  Every field is required: a
+        missing counter raises ``KeyError`` (the cache reads that as a
+        miss) rather than replaying as zero.  Entries of other engine
+        versions never reach here, because ``ENGINE_VERSION`` is part
+        of every cache key."""
+        return cls(*(int(payload[f.name]) for f in fields(cls)))
 
 
-def fold_run_metrics(samples: Iterable[Optional[RunMetrics]]) -> RunMetrics:
-    """Sum per-run samples, skipping ``None`` (runs replayed from a
-    pre-telemetry cache entry carry no sample)."""
-    total = RunMetrics()
-    for sample in samples:
-        if sample is not None:
-            total = total + sample
-    return total
+def fold_run_metrics(samples: Iterable[RunMetrics]) -> RunMetrics:
+    """Sum per-run samples field by field."""
+    return sum(samples, RunMetrics())
 
 
 class Counter:

@@ -34,14 +34,14 @@ def test_censoring_when_attack_too_weak():
 def test_outcome_records_attacker_effort():
     spec = s1(Scheme.SO, alpha=0.1, entropy_bits=6)
     outcome = run_protocol_lifetime(spec, seed=3, max_steps=60)
-    assert outcome.probes_direct > 0
-    assert outcome.probes_indirect == 0  # no proxies in S1
+    assert outcome.metrics.probes_direct > 0
+    assert outcome.metrics.probes_indirect == 0  # no proxies in S1
 
 
 def test_s2_uses_indirect_probes():
     spec = s2(Scheme.SO, alpha=0.2, kappa=0.5, entropy_bits=6)
     outcome = run_protocol_lifetime(spec, seed=4, max_steps=80)
-    assert outcome.probes_indirect > 0
+    assert outcome.metrics.probes_indirect > 0
 
 
 def test_reproducible_given_seed():
@@ -49,7 +49,7 @@ def test_reproducible_given_seed():
     a = run_protocol_lifetime(spec, seed=7, max_steps=60)
     b = run_protocol_lifetime(spec, seed=7, max_steps=60)
     assert a.steps == b.steps
-    assert a.probes_direct == b.probes_direct
+    assert a.metrics.probes_direct == b.metrics.probes_direct
 
 
 def test_estimate_aggregates_and_counts_censoring():
@@ -84,8 +84,8 @@ def test_estimate_bit_identical_across_worker_counts():
     assert serial.censored == fanned.censored
     assert [o.steps for o in serial.outcomes] == [o.steps for o in fanned.outcomes]
     assert [o.seed for o in serial.outcomes] == [o.seed for o in fanned.outcomes]
-    assert [o.probes_direct for o in serial.outcomes] == [
-        o.probes_direct for o in fanned.outcomes
+    assert [o.metrics.probes_direct for o in serial.outcomes] == [
+        o.metrics.probes_direct for o in fanned.outcomes
     ]
 
 

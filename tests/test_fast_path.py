@@ -7,7 +7,10 @@ rewrite admissible: **same seeds → bit-identical outcomes**.
 
 ``tests/data/golden_protocol_outcomes.json`` was captured by running the
 *pre-refactor* engine (PR 3, commit 962a1f9) over a spread of systems,
-schemes, timing presets and censoring regimes.  The golden test replays
+schemes, timing presets and censoring regimes.  Seeds 6–19 of
+``s2_so_paper`` (the configuration ``benchmarks/bench_sim_kernel.py``
+times) were added later from a frozen copy of that engine, at commit
+be8c9f2, just before the copy was deleted.  The golden test replays
 every config on the current engine and compares outcomes field by
 field — the refactor's referee, kept as a permanent regression gate.
 """
@@ -37,14 +40,16 @@ GOLDEN_SCENARIO_PATH = (
     pathlib.Path(__file__).parent / "data" / "golden_scenario_outcomes.json"
 )
 
-OUTCOME_FIELDS = (
-    "compromised",
-    "steps",
-    "time",
-    "cause",
-    "probes_direct",
-    "probes_indirect",
-)
+#: Golden fields: the verdict is read from the outcome, the attacker's
+#: effort from its ``metrics``.
+OUTCOME_FIELDS = ("compromised", "steps", "time", "cause")
+METRICS_FIELDS = ("probes_direct", "probes_indirect")
+
+
+def _golden_view(outcome) -> dict:
+    view = {field: getattr(outcome, field) for field in OUTCOME_FIELDS}
+    view.update({field: getattr(outcome.metrics, field) for field in METRICS_FIELDS})
+    return view
 
 
 def _golden_configs():
@@ -77,8 +82,8 @@ def test_outcomes_bit_identical_to_pre_refactor_engine(name, cfg):
             max_steps=cfg["max_steps"],
             timing=timing,
         )
-        got = {field: getattr(outcome, field) for field in OUTCOME_FIELDS}
-        want = {field: expected[field] for field in OUTCOME_FIELDS}
+        got = _golden_view(outcome)
+        want = {field: expected[field] for field in got}
         assert got == want, f"{name} seed {expected['seed']} diverged"
 
 
@@ -110,8 +115,8 @@ def test_scenario_outcomes_bit_identical_to_golden(name, cfg):
             max_steps=cfg["max_steps"],
             scenario=scenario,
         )
-        got = {field: getattr(outcome, field) for field in OUTCOME_FIELDS}
-        want = {field: expected[field] for field in OUTCOME_FIELDS}
+        got = _golden_view(outcome)
+        want = {field: expected[field] for field in got}
         assert got == want, f"{name} seed {expected['seed']} diverged"
 
 
@@ -137,8 +142,8 @@ def test_fast_forward_matches_full_drain_and_skips_events():
     deployed.start()
     deployed.sim.run(until=max_steps * spec.period)
     assert not deployed.monitor.is_compromised
-    assert deployed.attacker.probes_sent_direct == fast.probes_direct
-    assert deployed.attacker.probes_sent_indirect == fast.probes_indirect
+    assert deployed.attacker.probes_sent_direct == fast.metrics.probes_direct
+    assert deployed.attacker.probes_sent_indirect == fast.metrics.probes_indirect
     assert fast.time == max_steps * spec.period
 
 

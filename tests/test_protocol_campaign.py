@@ -107,9 +107,9 @@ def test_campaign_bit_identical_across_workers_and_batches():
         steps = [o.steps for o in a.outcomes]
         assert steps == [o.steps for o in b.outcomes]
         assert steps == [o.steps for o in c.outcomes]
-        probes = [o.probes_direct for o in a.outcomes]
-        assert probes == [o.probes_direct for o in b.outcomes]
-        assert probes == [o.probes_direct for o in c.outcomes]
+        probes = [o.metrics.probes_direct for o in a.outcomes]
+        assert probes == [o.metrics.probes_direct for o in b.outcomes]
+        assert probes == [o.metrics.probes_direct for o in c.outcomes]
 
 
 def test_campaign_bit_identical_under_serial_fallback(monkeypatch):

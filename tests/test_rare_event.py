@@ -53,20 +53,16 @@ from repro.rare.splitting import (
 from repro.sim.rng import derive_seed
 
 #: Outcome fields that must survive forking/instrumentation unchanged.
-#: ``events`` is excluded deliberately: the level probe adds (read-only)
-#: heap events, so instrumented runs execute more of them.
-OUTCOME_FIELDS = (
-    "compromised",
-    "steps",
-    "time",
-    "cause",
-    "probes_direct",
-    "probes_indirect",
-)
+#: ``events_executed`` is excluded deliberately: the level probe adds
+#: (read-only) heap events, so instrumented runs execute more of them.
+OUTCOME_FIELDS = ("compromised", "steps", "time", "cause")
+METRICS_FIELDS = ("probes_direct", "probes_indirect")
 
 
 def _outcome_view(outcome):
-    return {field: getattr(outcome, field) for field in OUTCOME_FIELDS}
+    view = {field: getattr(outcome, field) for field in OUTCOME_FIELDS}
+    view.update({field: getattr(outcome.metrics, field) for field in METRICS_FIELDS})
+    return view
 
 
 def _finish(trajectory, seed, max_steps):
@@ -136,7 +132,7 @@ class TestForking:
             )
             ((outcome, max_level),) = task.run()
             assert _outcome_view(outcome) == _outcome_view(bare)
-            assert outcome.events >= bare.events
+            assert outcome.metrics.events_executed >= bare.metrics.events_executed
             assert 0.0 <= max_level <= 1.0
             if outcome.compromised:
                 assert max_level == 1.0
@@ -372,7 +368,8 @@ class TestSplittingEstimator:
         assert [_outcome_view(o) for o in default.outcomes] == [
             _outcome_view(o) for o in explicit.outcomes
         ]
-        assert default.events == sum(o.events for o in default.outcomes) > 0
+        runs = default.outcomes
+        assert default.events == sum(o.metrics.events_executed for o in runs) > 0
 
     def test_estimator_rejects_unknown(self):
         spec = s1(Scheme.SO, entropy_bits=6, alpha=0.2)

@@ -13,6 +13,7 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import warnings
@@ -29,12 +30,13 @@ from repro.cache import (
     jsonable,
 )
 from repro.core.campaign import campaign_grid, campaign_record, run_campaign
-from repro.core.experiment import estimate_protocol_lifetime
-from repro.core.specs import SystemClass, s1
+from repro.core.experiment import _outcome_block_payload, estimate_protocol_lifetime
+from repro.core.specs import SystemClass, s1, s2
 from repro.core.timing import TimingSpec
 from repro.errors import ConfigurationError
 from repro.randomization.obfuscation import Scheme
 from repro.rare.splitting import SplittingConfig
+from repro.scenarios.library import paper_baseline
 
 
 def _small_grid():
@@ -87,10 +89,45 @@ def test_jsonable_rejects_unstable_values():
 
 
 def test_cache_key_sensitivity():
-    base = {"spec": s1(Scheme.SO, entropy_bits=6), "seeds": [1, 2, 3]}
-    assert cache_key(base) == cache_key(dict(base))
-    assert cache_key(base) != cache_key({**base, "seeds": [1, 2, 4]})
-    assert cache_key(base) != cache_key({**base, "spec": s1(Scheme.PO, entropy_bits=6)})
+    """Changing any one field of a protocol block's payload changes its key."""
+    spec = s2(Scheme.SO, alpha=0.2, kappa=0.5, entropy_bits=6)
+    base = dict(
+        spec=spec,
+        seeds=[1, 2, 3],
+        max_steps=50,
+        build_kwargs={"timing": TimingSpec.paper()},
+        scenario=None,
+    )
+
+    def key(**change) -> str:
+        return cache_key(_outcome_block_payload(**{**base, **change}))
+
+    assert key() == key(seeds=[1, 2, 3])  # equal payloads, equal keys
+    spec_changes = {
+        "system": SystemClass.S1,
+        "scheme": Scheme.PO,
+        "entropy_bits": 7,
+        "alpha": 0.25,
+        "kappa": 0.25,
+        "launchpad_fraction": 0.5,
+        "n_servers": 5,
+        "n_proxies": 4,
+        "f": 2,
+        "period": 2.0,
+    }
+    assert set(spec_changes) == {field.name for field in dataclasses.fields(spec)}
+    keys = [key()]
+    keys += [
+        key(spec=dataclasses.replace(spec, **{name: value}))
+        for name, value in spec_changes.items()
+    ]
+    keys += [
+        key(seeds=[1, 2, 4]),
+        key(max_steps=51),
+        key(build_kwargs={"timing": TimingSpec.ideal()}),
+        key(scenario=paper_baseline()),
+    ]
+    assert len(set(keys)) == len(keys)
 
 
 def test_key_for_folds_in_engine_version(tmp_path):
@@ -261,7 +298,17 @@ def test_engine_version_bump_invalidates_campaign(tmp_path):
     assert rerun.cache_hits == 0 and rerun.cache_misses == len(specs)
 
 
-def _undecodable_entries_recompute(tmp_path, **kwargs):
+def _nonsense(payload):
+    return [{"nonsense": True}]
+
+
+def _drop_events_executed(payload):
+    for outcome in payload:
+        del outcome["metrics"]["events_executed"]
+    return payload
+
+
+def _undecodable_entries_recompute(tmp_path, corrupt=_nonsense, **kwargs):
     """A well-formed entry whose payload doesn't decode to the request
     (e.g. written by a buggy tool) must recompute bit-identically, and
     the hit/miss counters must reflect the reclassification."""
@@ -270,7 +317,7 @@ def _undecodable_entries_recompute(tmp_path, **kwargs):
     cold = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **kwargs)
     for entry_path in tmp_path.rglob("*.json"):
         entry = json.loads(entry_path.read_text())
-        entry["payload"] = [{"nonsense": True}]
+        entry["payload"] = corrupt(entry["payload"])
         entry_path.write_text(json.dumps(entry))
     cache = ResultCache(tmp_path)
     rerun = run_campaign(specs, workers=1, cache=cache, **CAMPAIGN_KW, **kwargs)
@@ -284,6 +331,11 @@ def test_undecodable_entry_is_reclassified_as_miss(tmp_path):
 
 def test_undecodable_splitting_entry_is_reclassified_as_miss(tmp_path):
     _undecodable_entries_recompute(tmp_path, **SPLITTING_KW)
+
+
+def test_entry_missing_a_counter_is_reclassified_as_miss(tmp_path):
+    """A missing counter must not replay as a hit that cost 0 events."""
+    _undecodable_entries_recompute(tmp_path, corrupt=_drop_events_executed)
 
 
 def test_campaign_record_cache_section(tmp_path):

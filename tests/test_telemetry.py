@@ -65,9 +65,9 @@ def test_run_metrics_merge_and_round_trip():
     assert merged.probes_indirect == 2
     assert merged.messages_sent == 8
     assert RunMetrics.from_dict(merged.as_dict()) == merged
-    # Tolerant decode: unknown keys ignored, missing keys default to 0.
-    decoded = RunMetrics.from_dict({"events_executed": 4, "novel_field": 9})
-    assert decoded == RunMetrics(events_executed=4)
+    # Strict decode: a missing counter raises instead of replaying as 0.
+    with pytest.raises(KeyError):
+        RunMetrics.from_dict({"events_executed": 4, "novel_field": 9})
 
 
 def test_snapshot_merge_semantics():
