@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from ..errors import ConfigurationError
 
@@ -46,6 +47,8 @@ from ..errors import ConfigurationError
 #: Version 4: outcomes carry only ``metrics`` (probe/event duplicates dropped).
 ENGINE_VERSION = 4
 
+_JSON_SCALARS = frozenset({type(None), bool, int, float, str})
+
 
 def jsonable(value: Any) -> Any:
     """Reduce ``value`` to plain JSON types, deterministically.
@@ -58,6 +61,13 @@ def jsonable(value: Any) -> Any:
     refused loudly — hashing a ``repr`` would produce keys that drift
     across runs.
     """
+    # Fast path, same result: exact JSON scalars, and flat lists/tuples
+    # of them (seed blocks), skip the abstract-base-class checks below.
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return value
+    if (kind is list or kind is tuple) and _JSON_SCALARS.issuperset(map(type, value)):
+        return list(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, enum.Enum):

@@ -91,8 +91,10 @@ class ResultCache:
         keyed["engine_version"] = self.version
         return cache_key(keyed)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # A plain string: every replayed block looks one up, and two
+        # ``pathlib`` joins cost several times this formatting.
+        return f"{self.root}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Optional[Any]:
@@ -103,8 +105,8 @@ class ResultCache:
         propagate as an error.
         """
         try:
-            text = self._path(key).read_text(encoding="utf-8")
-            entry = json.loads(text)
+            with open(self._path(key), encoding="utf-8") as handle:
+                entry = json.loads(handle.read())
         except (OSError, ValueError):
             self.misses += 1
             return None

@@ -10,12 +10,13 @@ a single :class:`repro.mc.executor.TaskExecutor` pass, so parallelism
 spans the whole grid, not one grid point at a time.
 
 Determinism contract: every seed is derived before dispatch with
-:func:`repro.mc.executor.derive_point_seed` from the root seed, the grid
-point's index and the trial index, so campaign results are bit-identical
-for any worker count or batch size (including the serial fallback, and
-including mid-campaign pool breakage), and each grid point's estimate
-equals :func:`~repro.core.experiment.estimate_protocol_lifetime` run on
-that point alone with the same seeds.
+:func:`repro.mc.executor.derive_point_seeds` from the root seed, the grid
+point's index and the trial index (a block of trial indices per round),
+so campaign results are bit-identical for any worker count or batch size
+(including the serial fallback, and including mid-campaign pool
+breakage), and each grid point's estimate equals
+:func:`~repro.core.experiment.estimate_protocol_lifetime` run on that
+point alone with the same seeds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cache import ResultCache
 from ..errors import ConfigurationError, ReproError
-from ..mc.executor import TaskExecutor, backend_for, derive_point_seed, resolve_workers
+from ..mc.executor import TaskExecutor, backend_for, derive_point_seeds, resolve_workers
 from ..randomization.obfuscation import Scheme
 from ..supervision.policy import SupervisionPolicy, TaskFailure
 from ..supervision.signals import deliver_sigterm_as_interrupt
@@ -469,7 +470,7 @@ def run_campaign(
     executor = _campaign_executor(workers, supervision, chaos)
     manifest = executor.manifest
     points = [
-        _Point(spec, partial(derive_point_seed, seed, i))
+        _Point(spec, partial(derive_point_seeds, seed, i))
         for i, spec in enumerate(specs)
     ]
     if progress is not None:

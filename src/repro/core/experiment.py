@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
-from ..cache import ResultCache
+from ..cache import ResultCache, jsonable
 from ..errors import AnalysisError, ConfigurationError
 from ..metrics.stats import CensoredSummary, SummaryStats, summarize_censored
 from ..mc.executor import TaskExecutor
@@ -439,17 +439,38 @@ def _outcome_payload(outcome: LifetimeOutcome) -> dict:
     }
 
 
+def _json_int(value: Any) -> int:
+    """``value`` if it is a JSON integer (``bool`` is not); raise otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"cached field {value!r} is not an integer")
+    return value
+
+
+def _json_real(value: Any) -> float:
+    """``value`` as a float if it is a JSON number (``bool`` is not)."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"cached field {value!r} is not a number")
+    return float(value)
+
+
 def _outcome_from_entry(spec: SystemSpec, entry: Any) -> LifetimeOutcome:
-    """Rebuild one cached outcome; raise on malformed entries."""
-    cause = entry["cause"]
-    if cause is not None and not isinstance(cause, str):
-        raise ValueError("cached outcome carries a malformed cause")
+    """Rebuild one cached outcome; raise on malformed entries.
+
+    Every field must carry its exact JSON type: a hand-edited
+    ``"compromised": "false"`` or ``"steps": 2.9`` raises (and the cache
+    reads the entry as a miss) instead of being coerced.
+    """
+    compromised, cause = entry["compromised"], entry["cause"]
+    if type(compromised) is not bool:
+        raise TypeError("cached outcome carries a malformed verdict")
+    if cause is not None and type(cause) is not str:
+        raise TypeError("cached outcome carries a malformed cause")
     return LifetimeOutcome(
         spec=spec,
-        seed=int(entry["seed"]),
-        compromised=bool(entry["compromised"]),
-        steps=int(entry["steps"]),
-        time=float(entry["time"]),
+        seed=_json_int(entry["seed"]),
+        compromised=compromised,
+        steps=_json_int(entry["steps"]),
+        time=_json_real(entry["time"]),
         cause=cause,
         metrics=RunMetrics.from_dict(entry["metrics"]),
     )
@@ -549,12 +570,20 @@ def _run_blocks(
     frozen_kwargs = tuple(sorted(build_kwargs.items()))
     tasks: list[ProtocolTask] = []
     slots: list[tuple[_Block, int]] = []
+    # The key parts every block shares, reduced to plain JSON once a round.
+    shared = None
+    if cache is not None:
+        shared = jsonable({"build_kwargs": build_kwargs, "scenario": scenario})
     with span("campaign.prepare", grid_points=len(blocks), trials=len(blocks[0].seeds)):
         for block in blocks:
             if cache is not None:
                 block.key = cache.key_for(
                     _outcome_block_payload(
-                        block.spec, block.seeds, max_steps, build_kwargs, scenario
+                        block.spec,
+                        block.seeds,
+                        max_steps,
+                        shared["build_kwargs"],
+                        shared["scenario"],
                     )
                 )
                 decode = partial(_outcomes_from_payload, block.spec, seeds=block.seeds)
@@ -605,7 +634,7 @@ class _Point:
     """
 
     spec: SystemSpec
-    seed_for: Callable[[int], int]
+    seeds: Callable[..., list[int]]  # seeds(start=, stop=): indices start..stop-1
     outcomes: list[LifetimeOutcome] = field(default_factory=list)
     next_seed: int = 0
     lost: bool = False  # supervision quarantined some of its work
@@ -769,7 +798,7 @@ def _estimate_points(
             stop = trials
             if precision is not None:
                 stop = min(point.next_seed + PRECISION_ROUND_SEEDS, max_trials)
-            seeds = [point.seed_for(j) for j in range(point.next_seed, stop)]
+            seeds = point.seeds(start=point.next_seed, stop=stop)
             blocks.append(_Block(point.spec, seeds))
         try:
             _run_blocks(
@@ -857,7 +886,7 @@ def _estimate_points(
 
     with span("campaign.prepare", estimator="splitting", grid_points=len(needy)):
         for point in needy:
-            spec, root = point.spec, point.seed_for(0)
+            spec, root = point.spec, point.seeds(start=0, stop=1)[0]
             if cache is not None:
                 point.key = cache.key_for(
                     rare._splitting_key_payload(
@@ -896,7 +925,7 @@ def _estimate_points(
                 maxima = [level for _, level in point.pilot]
                 point.levels = rare.place_levels(point.spec, config, maxima)
                 point.reps = [None] * config.replications
-                root = point.seed_for(0)
+                root = point.seeds(start=0, stop=1)[0]
                 for r in range(config.replications):
                     task = rare.SplittingTask(
                         spec=point.spec,
@@ -984,10 +1013,15 @@ def estimate_protocol_lifetime(
     """
     if seed_for is None:
 
-        def seed_for(i: int) -> int:
-            return seed0 + i
+        def seeds(*, start: int, stop: int) -> list[int]:
+            return list(range(seed0 + start, seed0 + stop))
 
-    point = _Point(spec, seed_for)
+    else:
+
+        def seeds(*, start: int, stop: int) -> list[int]:
+            return [seed_for(j) for j in range(start, stop)]
+
+    point = _Point(spec, seeds)
     with ExitStack() as stack:
         if executor is None:
             executor = stack.enter_context(TaskExecutor(workers))

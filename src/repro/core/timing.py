@@ -163,7 +163,7 @@ class TimingSpec:
 
     def as_dict(self) -> dict:
         """Plain-dict form for JSON records."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _TIMING_FIELDS}
 
     # ------------------------------------------------------------------
     # Model-side corrections
@@ -262,6 +262,9 @@ class TimingSpec:
             launchpad_fraction=launchpad_eff,
             launchpad_rate=launchpad_rate,
         )
+
+
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingSpec))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ _EXPORTS = {
     "TaskExecutor": "executor",
     "backend_for": "executor",
     "derive_point_seed": "executor",
+    "derive_point_seeds": "executor",
     "estimate_to_precision": "montecarlo",
     "mc_expected_lifetime": "montecarlo",
     "mc_survival_curve": "montecarlo",

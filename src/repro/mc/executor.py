@@ -101,6 +101,116 @@ def _mixing_steps(words: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((src, dst, *key) for (src, dst), key in zip(pairs, keys))
 
 
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of ``value`` (0 is ``[0]``)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _block_schedule(head: list[int], width: int) -> tuple[list, list, list]:
+    """Split a seed block's SeedSequence schedule into shared and per-seed work.
+
+    ``head`` holds the entropy words every seed of the block shares;
+    the ``width`` words of the varying last index follow them.  Every
+    fill and mixing step that reads no varying word runs here, once.
+    What is left for each seed:
+
+    * ``init`` — the state to start from: the pool and the words past
+      it as the shared steps left them, then a snapshot of each shared
+      word at the moment a per-seed step reads it;
+    * ``loads`` — ``(slot, shift, xor, multiplier)`` placing word
+      ``j >> shift`` of the index, hashed into the pool (or raw past
+      it, where ``multiplier`` is ``None``);
+    * ``steps`` — ``(src, dst, xor, multiplier)`` mixing steps over
+      those slots, minus every step whose result neither output word
+      reads.
+    """
+    words = len(head) + width
+    state = [0] * max(words, _POOL_SIZE)
+    state[: len(head)] = head
+    varying = set(range(len(head), words))
+    loads = []
+    for pos in sorted(varying):
+        xor, mul = _FILL_KEYS[pos] if pos < _POOL_SIZE else (0, None)
+        loads.append((pos, 32 * (pos - len(head)), xor, mul))
+    for pos, (xor, mul) in enumerate(_FILL_KEYS):
+        if pos not in varying:
+            word = (state[pos] ^ xor) * mul & _MASK32
+            state[pos] = word ^ word >> _XSHIFT
+    steps = []
+    for src, dst, xor, mul in _mixing_steps(words):
+        if src in varying or dst in varying:
+            if src not in varying:  # snapshot: later shared steps may change it
+                state.append(state[src])
+                src = len(state) - 1
+            steps.append((src, dst, xor, mul))
+            varying.add(dst)
+            continue
+        word = (state[src] ^ xor) * mul & _MASK32
+        word ^= word >> _XSHIFT
+        mixed = (_MIX_MULT_L * state[dst] - _MIX_MULT_R * word) & _MASK32
+        state[dst] = mixed ^ mixed >> _XSHIFT
+    live = {0, 1}  # ``generate_state(1, uint64)`` reads two pool words
+    kept = []
+    for step in reversed(steps):
+        if step[1] in live:
+            live.add(step[0])
+            kept.append(step)
+    kept.reverse()
+    return state, [load for load in loads if load[0] in live], kept
+
+
+def _derive_seeds(components: Sequence[int], start: int, stop: int) -> list[int]:
+    """SeedSequence seeds of ``[*components, j]``, ``j`` in ``range(start, stop)``."""
+    if start < 0 or any(value < 0 for value in components):
+        raise ConfigurationError(
+            f"seed components must be non-negative, got {(*components, start)}"
+        )
+    words = [word for value in components for word in _words(value)]
+    (low_xor, low_mul), (high_xor, high_mul) = _OUTPUT_KEYS
+    mask, shift16 = _MASK32, _XSHIFT
+    seeds = []
+    while start < stop:
+        # The index gains a word at 2**32: each word count has its own schedule.
+        width = len(_words(start))
+        end = min(stop, 1 << 32 * width)
+        init, loads, steps = _block_schedule(words, width)
+        for j in range(start, end):
+            state = init.copy()
+            for pos, shift, xor, mul in loads:
+                word = j >> shift & mask
+                if mul is not None:
+                    word = (word ^ xor) * mul & mask
+                    word ^= word >> shift16
+                state[pos] = word
+            for src, dst, xor, mul in steps:
+                word = (state[src] ^ xor) * mul & mask
+                word ^= word >> shift16
+                mixed = (_MIX_MULT_L * state[dst] - _MIX_MULT_R * word) & mask
+                state[dst] = mixed ^ mixed >> shift16
+            # ``generate_state(1, uint64)``: two output words, low word first.
+            low = (state[0] ^ low_xor) * low_mul & mask
+            high = (state[1] ^ high_xor) * high_mul & mask
+            seeds.append((low ^ low >> shift16) | (high ^ high >> shift16) << 32)
+        start = end
+    return seeds
+
+
+def derive_point_seeds(
+    root_seed: int, *indices: int, start: int, stop: int
+) -> list[int]:
+    """``[derive_point_seed(root_seed, *indices, j) for j in range(start, stop)]``.
+
+    One pass per block: the fill and mixing steps that do not read the
+    varying index run once for the whole block (see
+    :func:`_block_schedule`), so a seed costs a fraction of a lone call.
+    """
+    return _derive_seeds((root_seed, *indices), start, stop)
+
+
 def derive_point_seed(root_seed: int, *indices: int) -> int:
     """Deterministic seed for one grid point from its grid indices.
 
@@ -109,37 +219,11 @@ def derive_point_seed(root_seed: int, *indices: int) -> int:
     protocol path never imports numpy.  The result depends only on the
     grid position — never on which process evaluates the point.  (Named
     distinctly from :func:`repro.sim.rng.derive_seed`, which derives
-    ``random.Random`` seeds from component *names*.)
+    ``random.Random`` seeds from component *names*.)  The one-seed case
+    of :func:`derive_point_seeds`.
     """
-    if root_seed < 0 or any(i < 0 for i in indices):
-        raise ConfigurationError(
-            f"seed components must be non-negative, got {root_seed}, {indices}"
-        )
-    # Each component splits into little-endian 32-bit words (0 is [0]).
-    entropy = []
-    for value in (root_seed, *indices):
-        entropy.append(value & _MASK32)
-        while value > _MASK32:
-            value >>= 32
-            entropy.append(value & _MASK32)
-    # Hash the first words into the zero-padded pool; words past the
-    # pool stay behind it as mixing sources.
-    state = []
-    padded = entropy[:_POOL_SIZE] + [0] * (_POOL_SIZE - 1)
-    for word, (xor, mul) in zip(padded, _FILL_KEYS):
-        word = (word ^ xor) * mul & _MASK32
-        state.append(word ^ word >> _XSHIFT)
-    state += entropy[_POOL_SIZE:]
-    for src, dst, xor, mul in _mixing_steps(len(entropy)):
-        word = (state[src] ^ xor) * mul & _MASK32
-        word ^= word >> _XSHIFT
-        mixed = (_MIX_MULT_L * state[dst] - _MIX_MULT_R * word) & _MASK32
-        state[dst] = mixed ^ mixed >> _XSHIFT
-    # ``generate_state(1, uint64)``: two output words, low word first.
-    (low_xor, low_mul), (high_xor, high_mul) = _OUTPUT_KEYS
-    low = (state[0] ^ low_xor) * low_mul & _MASK32
-    high = (state[1] ^ high_xor) * high_mul & _MASK32
-    return (low ^ low >> _XSHIFT) | (high ^ high >> _XSHIFT) << 32
+    *head, last = (root_seed, *indices)
+    return _derive_seeds(head, last, last + 1)[0]
 
 
 @dataclass

@@ -515,26 +515,30 @@ def _estimate_from_payload(
     The fold is re-run from the stored waves, so a cached estimate is
     bit-identical to a recomputed one by determinism of the fold.
     """
-    from ..core.experiment import _outcome_from_entry  # deferred: layering
+    from ..core.experiment import (  # deferred: layering
+        _json_int,
+        _json_real,
+        _outcome_from_entry,
+    )
 
     if not isinstance(payload, dict):
         raise ValueError("cached splitting entry is not a mapping")
     pilot_results = [
-        (_outcome_from_entry(spec, entry), float(max_level))
+        (_outcome_from_entry(spec, entry), _json_real(max_level))
         for entry, max_level in payload["pilot"]
     ]
     if len(pilot_results) != config.pilot_runs:
         raise ValueError("cached splitting entry does not match the request")
     replications = [
         SplittingReplication(
-            product=float(rep["product"]),
-            counts=tuple((int(n), int(k)) for n, k in rep["counts"]),
-            events=int(rep["events"]),
-            compromise_steps=tuple(int(s) for s in rep["compromise_steps"]),
+            product=_json_real(rep["product"]),
+            counts=tuple((_json_int(n), _json_int(k)) for n, k in rep["counts"]),
+            events=_json_int(rep["events"]),
+            compromise_steps=tuple(_json_int(s) for s in rep["compromise_steps"]),
         )
         for rep in payload["replications"]
     ]
     if len(replications) != config.replications:
         raise ValueError("cached splitting entry does not match the request")
-    levels = tuple(float(level) for level in payload["levels"])
+    levels = tuple(_json_real(level) for level in payload["levels"])
     return _fold(config, levels, pilot_results, replications)

@@ -28,6 +28,7 @@ passes with telemetry on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import add, attrgetter, itemgetter
 from typing import Any, Iterable, Mapping, Optional
 
 from ..errors import ConfigurationError
@@ -59,24 +60,29 @@ class RunMetrics:
     messages_dropped: int = 0
 
     def __add__(self, other: "RunMetrics") -> "RunMetrics":
-        return RunMetrics(
-            *(
-                getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(RunMetrics)
-            )
-        )
+        return RunMetrics(*map(add, _run_counts(self), _run_counts(other)))
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(RunMetrics)}
+        return dict(zip(_RUN_METRIC_FIELDS, _run_counts(self)))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunMetrics":
-        """Rebuild from a cache entry.  Every field is required: a
-        missing counter raises ``KeyError`` (the cache reads that as a
-        miss) rather than replaying as zero.  Entries of other engine
-        versions never reach here, because ``ENGINE_VERSION`` is part
-        of every cache key."""
-        return cls(*(int(payload[f.name]) for f in fields(cls)))
+        """Rebuild from a cache entry.  Every field is required and must
+        be a JSON integer: a missing counter raises ``KeyError`` and a
+        ``"12"``, ``2.9`` or ``true`` raises ``TypeError`` (the cache
+        reads either as a miss) rather than replaying coerced.  Entries
+        of other engine versions never reach here, because
+        ``ENGINE_VERSION`` is part of every cache key."""
+        counts = _run_items(payload)
+        if set(map(type, counts)) != {int}:
+            raise TypeError(f"cached run metrics carry a non-integer count: {counts}")
+        return cls(*counts)
+
+
+#: :class:`RunMetrics` field names, in declaration order.
+_RUN_METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
+_run_counts = attrgetter(*_RUN_METRIC_FIELDS)
+_run_items = itemgetter(*_RUN_METRIC_FIELDS)
 
 
 def fold_run_metrics(samples: Iterable[RunMetrics]) -> RunMetrics:

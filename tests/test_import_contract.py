@@ -5,7 +5,8 @@ and run without numpy; only :mod:`repro.analysis` and the
 :mod:`repro.mc` samplers need it.  These tests lock that down:
 
 * the pure-Python :func:`~repro.mc.executor.derive_point_seed` equals
-  ``numpy.random.SeedSequence`` on every input;
+  ``numpy.random.SeedSequence`` on every input, and so does each seed of
+  a :func:`~repro.mc.executor.derive_point_seeds` block;
 * the lazy (PEP 562) exports of :mod:`repro`, :mod:`repro.core` and
   :mod:`repro.mc` resolve to the defining modules' objects;
 * a process with ``numpy`` blocked runs fixed-count, precision,
@@ -33,7 +34,7 @@ import repro
 import repro.core
 import repro.mc
 from repro.errors import ConfigurationError
-from repro.mc.executor import derive_point_seed
+from repro.mc.executor import derive_point_seed, derive_point_seeds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,6 +50,33 @@ def test_point_seed_matches_numpy_seed_sequence(root, indices):
     sequence = np.random.SeedSequence([root, *indices])
     expected = int(sequence.generate_state(1, np.uint64)[0])
     assert derive_point_seed(root, *indices) == expected
+
+
+#: Block starts: anywhere, and just below the word boundaries at 2**32
+#: and 2**64, where the last index gains a word inside the block.
+block_starts = st.one_of(
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.integers(min_value=2**32 - 8, max_value=2**32 + 1),
+    st.integers(min_value=2**64 - 8, max_value=2**64 + 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    root=seed_words,
+    prefix=st.lists(seed_words, max_size=4),
+    start=block_starts,
+    length=st.integers(min_value=-2, max_value=10),  # <= 0: an empty range
+)
+def test_seed_blocks_match_numpy_seed_sequence(root, prefix, start, length):
+    stop = start + length
+    block = derive_point_seeds(root, *prefix, start=start, stop=stop)
+    assert block == [derive_point_seed(root, *prefix, j) for j in range(start, stop)]
+    expected = [
+        int(np.random.SeedSequence([root, *prefix, j]).generate_state(1, np.uint64)[0])
+        for j in range(start, stop)
+    ]
+    assert block == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -184,7 +184,7 @@ def test_corrupt_entries_are_misses(tmp_path, corruption):
     cache = ResultCache(tmp_path)
     key = cache.key_for({"seeds": [9]})
     cache.store(key, {"fine": True})
-    cache._path(key).write_text(corruption)
+    (tmp_path / key[:2] / f"{key}.json").write_text(corruption)
     assert cache.lookup(key) is None
     assert cache.misses == 1
 
