@@ -425,11 +425,7 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"analytic EL   : unavailable ({exc})")
     estimate = mc_expected_lifetime(
-        spec,
-        trials=args.trials,
-        seed=args.seed,
-        vectorized=not args.scalar,
-        precision=args.precision,
+        spec, trials=args.trials, seed=args.seed, precision=args.precision
     )
     note = "" if estimate.converged else ", NOT converged"
     print(
@@ -828,12 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="target relative 95%% CI half-width (overrides --trials)",
-    )
-    p.add_argument(
-        "--scalar",
-        action="store_true",
-        help="use the bit-stable reference sampler instead of the "
-        "vectorized engine",
     )
     p.set_defaults(fn=cmd_lifetime)
 

@@ -34,7 +34,7 @@ from ..mc.executor import TaskExecutor, backend_for, derive_point_seeds, resolve
 from ..randomization.obfuscation import Scheme
 from ..supervision.policy import SupervisionPolicy, TaskFailure
 from ..supervision.signals import deliver_sigterm_as_interrupt
-from ..telemetry.registry import MetricsRegistry, MetricsSnapshot, fold_run_metrics
+from ..telemetry.registry import MetricsSnapshot, fold_run_metrics, histogram
 from .experiment import (
     DEFAULT_MAX_CENSORED,
     DEFAULT_SEED_BATCH,
@@ -119,44 +119,39 @@ class CampaignResult:
         identical totals.  (Cache hit/miss counters describe *this*
         execution — a warm re-run legitimately differs there.)
         """
-        registry = MetricsRegistry()
         outcomes = [o for e in self.estimates for o in e.outcomes]
-        run_totals = fold_run_metrics(o.metrics for o in outcomes)
-        counters = registry.counter
-        counters("runs_total").inc(self.total_runs)
-        counters("runs_censored").inc(self.total_censored)
-        counters("events_executed").inc(self.total_events)
-        for name, value in run_totals.as_dict().items():
-            if name == "events_executed":
-                continue  # total_events above also covers splitting waves
-            counters(f"sim_{name}").inc(value)
+        run_totals = fold_run_metrics(o.metrics for o in outcomes).as_dict()
+        # total_events also covers splitting waves, so it stands in for
+        # the per-run events_executed sum.
+        del run_totals["events_executed"]
+        counters = {
+            "runs_total": self.total_runs,
+            "runs_censored": self.total_censored,
+            "events_executed": self.total_events,
+            **{f"sim_{name}": value for name, value in run_totals.items()},
+        }
         if self.cache_hits is not None:
-            counters("cache_hits").inc(self.cache_hits)
-            counters("cache_misses").inc(self.cache_misses or 0)
+            counters["cache_hits"] = self.cache_hits
+            counters["cache_misses"] = self.cache_misses or 0
         if self.supervised:
-            counters("supervision_retries").inc(self.retries)
-            counters("supervision_timeouts").inc(self.timeouts)
-            counters("supervision_quarantined").inc(self.quarantined)
-        rare_estimates = [e for e in self.estimates if e.rare is not None]
+            counters["supervision_retries"] = self.retries
+            counters["supervision_timeouts"] = self.timeouts
+            counters["supervision_quarantined"] = self.quarantined
+        rare_estimates = [e.rare for e in self.estimates if e.rare is not None]
         if rare_estimates:
-            counters("rare_points").inc(len(rare_estimates))
-            counters("rare_replications").inc(
-                sum(e.rare.replications for e in rare_estimates)
-            )
-            counters("rare_trajectories").inc(
-                sum(e.rare.trajectories for e in rare_estimates)
-            )
-        registry.gauge("grid_points").set(len(self.estimates))
+            counters["rare_points"] = len(rare_estimates)
+            counters["rare_replications"] = sum(r.replications for r in rare_estimates)
+            counters["rare_trajectories"] = sum(r.trajectories for r in rare_estimates)
+        gauges = {"grid_points": float(len(self.estimates))}
         if self.wall_seconds is not None:
-            registry.gauge("wall_seconds").set(self.wall_seconds)
+            gauges["wall_seconds"] = float(self.wall_seconds)
             if self.wall_seconds > 0:
-                registry.gauge("events_per_second").set(
-                    self.total_events / self.wall_seconds
-                )
-        steps = registry.histogram("steps_survived")
-        for outcome in outcomes:
-            steps.observe(outcome.steps)
-        return registry.snapshot()
+                gauges["events_per_second"] = self.total_events / self.wall_seconds
+        return MetricsSnapshot(
+            counters=dict(sorted(counters.items())),
+            gauges=dict(sorted(gauges.items())),
+            histograms={"steps_survived": histogram(o.steps for o in outcomes)},
+        )
 
 
 class CampaignInterrupted(ReproError):

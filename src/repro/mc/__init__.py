@@ -26,7 +26,6 @@ _EXPORTS = {
     "MCTask": "montecarlo",
     "SerialBackend": "executor",
     "StreamingMoments": "executor",
-    "SweepExecutor": "montecarlo",
     "TaskExecutor": "executor",
     "backend_for": "executor",
     "derive_point_seed": "executor",

@@ -22,8 +22,8 @@ the figure sweeps:
   inherits ordering, exactly-once results and every recovery path.
 
 :func:`derive_point_seed` gives a grid point a seed from its indices.
-The Monte-Carlo face of the executor (``MCTask``, ``SweepExecutor``,
-``estimate_to_precision``) lives in :mod:`repro.mc.montecarlo`.
+The Monte-Carlo tasks (``MCTask``, ``run_task``,
+``estimate_to_precision``) live in :mod:`repro.mc.montecarlo`.
 
 This module imports only the standard library: it is on the protocol
 campaign path, which never loads numpy.
@@ -337,9 +337,9 @@ class ExecutorBackend:
     :attr:`supports_submit` and implements :meth:`submit`, returning a
     ``Future``.  :meth:`recycle` drops the transport after a fault —
     cancelling queued work, without waiting — so the next submit starts
-    a fresh one; :meth:`close` releases it gracefully.  :meth:`open` /
-    :meth:`close` bracket a persistent ``with TaskExecutor(...)`` scope.
-    A backend that cannot submit has its tasks run in-process.
+    a fresh one; :meth:`close` releases it gracefully, at the end of a
+    round or of a persistent ``with TaskExecutor(...)`` scope.  A backend
+    that cannot submit has its tasks run in-process.
 
     Ordering, exactly-once results, the in-process fallback, retries,
     timeouts and quarantine all live in :meth:`TaskExecutor.map`, so
@@ -359,9 +359,6 @@ class ExecutorBackend:
 
     def recycle(self) -> None:
         """Drop transport resources after a fault (fresh ones next submit)."""
-
-    def open(self) -> None:
-        """Enter a persistent scope (keep resources across rounds)."""
 
     def close(self) -> None:
         """Release the transport's resources."""
@@ -495,7 +492,6 @@ class TaskExecutor:
         transport when it ends.
         """
         self._scoped = True
-        self.backend.open()
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -30,16 +30,17 @@ Sampling paths
 --------------
 Every model exposes three entry points with identical distributions:
 
+``sample_batch(n, rng, chunk_size=None)``
+    The engine path, and the one every runner of
+    :mod:`repro.mc.montecarlo` draws through: fully vectorized numpy
+    sampling, drawn in bounded chunks so arbitrarily large trial counts
+    run in constant memory.  For :class:`S2POStepModel` — the only truly
+    sequential sampler — this simulates *blocks* of steps for all
+    pending trials at once and retires finished trials between blocks.
 ``sample(n, rng)``
     The reference path, preserved bit-for-bit from the original
-    implementation (regression anchor; select it through
-    ``vectorized=False`` in :mod:`repro.mc.montecarlo`).
-``sample_batch(n, rng, chunk_size=None)``
-    The engine path: fully vectorized numpy sampling, drawn in bounded
-    chunks so arbitrarily large trial counts run in constant memory.
-    For :class:`S2POStepModel` — the only truly sequential sampler —
-    this simulates *blocks* of steps for all pending trials at once and
-    retires finished trials between blocks.
+    implementation; the tests hold ``sample_batch`` to it (bit-identical
+    wherever the two share a draw order).
 ``sample_scalar(n, rng)``
     A deliberate one-trial-at-a-time pure-Python loop over
     ``_sample_one``; the throughput baseline that

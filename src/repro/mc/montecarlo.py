@@ -3,14 +3,8 @@
 Thin runner over the samplers in :mod:`repro.mc.models`: draws trials,
 summarizes them with a 95% confidence interval, and exposes the same
 Definition-7 lifetime convention as the analytic formulas so the two can
-be compared term by term.
-
-Two drawing paths are available everywhere:
-
-* ``vectorized=True`` (default) uses each model's chunked
-  ``sample_batch`` engine path;
-* ``vectorized=False`` replays the original ``sample`` reference path
-  bit-for-bit — the regression anchor for the vectorized engine.
+be compared term by term.  Every runner draws through the models'
+chunked ``sample_batch`` engine path.
 
 Passing ``precision=`` switches from a fixed trial count to streaming
 accumulation with CI-width-based early stopping
@@ -19,19 +13,20 @@ accumulation with CI-width-based early stopping
 interval half-width falls below ``precision × |mean|`` or the trial
 budget runs out.
 
-:class:`SweepExecutor` is the Monte-Carlo face of the generic
-:class:`~repro.mc.executor.TaskExecutor`: one :class:`MCTask` per sweep
-grid point.  The sweeps assign per-point seeds as simple root-seed
-offsets (preserving the pre-engine seed layout); that is already
-deterministic and worker-count independent, and
-``np.random.default_rng`` hashes integer seeds through ``SeedSequence``,
-so adjacent offsets still get decorrelated PCG64 streams.
+Sweeps fan their grid points out as :class:`MCTask` objects through the
+generic :class:`~repro.mc.executor.TaskExecutor`
+(``TaskExecutor(workers).map(run_task, tasks)``).  The sweeps assign
+per-point seeds as simple root-seed offsets (preserving the pre-engine
+seed layout); that is already deterministic and worker-count
+independent, and ``np.random.default_rng`` hashes integer seeds through
+``SeedSequence``, so adjacent offsets still get decorrelated PCG64
+streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +34,7 @@ from ..core.specs import SystemSpec
 from ..core.timing import TimingSpec
 from ..errors import ConfigurationError
 from ..metrics.stats import SummaryStats, Z_95
-from .executor import StreamingMoments, TaskExecutor
+from .executor import StreamingMoments
 from .models import LifetimeModel, model_for
 
 #: Trials drawn per streaming batch (small enough to stop promptly once
@@ -103,25 +98,11 @@ def summarize_array(values: np.ndarray) -> SummaryStats:
     )
 
 
-# Backwards-compatible alias (pre-engine private name).
-_summarize_array = summarize_array
-
-
-def run_model(
-    model: LifetimeModel,
-    trials: int,
-    seed: int = 0,
-    *,
-    vectorized: bool = True,
-) -> MCEstimate:
+def run_model(model: LifetimeModel, trials: int, seed: int = 0) -> MCEstimate:
     """Draw ``trials`` lifetimes from ``model`` and summarize them."""
     if trials < 2:
         raise ConfigurationError(f"need at least 2 trials for a CI, got {trials}")
-    rng = np.random.default_rng(seed)
-    if vectorized:
-        values = model.sample_batch(trials, rng)
-    else:
-        values = model.sample(trials, rng)
+    values = model.sample_batch(trials, np.random.default_rng(seed))
     return MCEstimate(
         label=model.label,
         spec=model.spec,
@@ -138,7 +119,6 @@ def estimate_to_precision(
     min_trials: int = 1_000,
     max_trials: int = 10_000_000,
     batch_size: int = DEFAULT_BATCH,
-    vectorized: bool = True,
 ) -> MCEstimate:
     """Sample until the 95% CI half-width is ``rel_halfwidth × |mean|``.
 
@@ -160,11 +140,7 @@ def estimate_to_precision(
     converged = False
     while moments.count < max_trials:
         take = min(batch_size, max_trials - moments.count)
-        if vectorized:
-            values = model.sample_batch(take, rng)
-        else:
-            values = model.sample(take, rng)
-        moments.update(values.astype(np.float64))
+        moments.update(model.sample_batch(take, rng).astype(np.float64))
         if moments.count < min_trials:
             continue
         scale = max(abs(moments.mean), np.finfo(float).tiny)
@@ -186,7 +162,6 @@ def mc_expected_lifetime(
     seed: int = 0,
     step_level: bool = False,
     *,
-    vectorized: bool = True,
     precision: float | None = None,
     max_trials: int | None = None,
     timing: Optional[TimingSpec] = None,
@@ -205,10 +180,9 @@ def mc_expected_lifetime(
             model,
             rel_halfwidth=precision,
             seed=seed,
-            max_trials=max_trials or 10_000_000,
-            vectorized=vectorized,
+            max_trials=10_000_000 if max_trials is None else max_trials,
         )
-    return run_model(model, trials, seed, vectorized=vectorized)
+    return run_model(model, trials, seed)
 
 
 def mc_survival_curve(
@@ -217,18 +191,14 @@ def mc_survival_curve(
     trials: int = 10_000,
     seed: int = 0,
     *,
-    vectorized: bool = True,
     timing: Optional[TimingSpec] = None,
 ) -> np.ndarray:
     """Empirical ``S(t)`` for ``t = 1..steps`` from sampled lifetimes."""
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    rng = np.random.default_rng(seed)
-    model = model_for(spec, timing=timing)
-    if vectorized:
-        lifetimes = model.sample_batch(trials, rng)
-    else:
-        lifetimes = model.sample(trials, rng)
+    lifetimes = model_for(spec, timing=timing).sample_batch(
+        trials, np.random.default_rng(seed)
+    )
     t = np.arange(1, steps + 1)
     # A run with lifetime L survives t whole steps iff L >= t.
     return (lifetimes[None, :] >= t[:, None]).mean(axis=1)
@@ -249,50 +219,21 @@ class MCTask:
     seed: int
     trials: int = 10_000
     step_level: bool = False
-    vectorized: bool = True
     precision: float | None = None
     max_trials: int = 10_000_000
 
     def run(self) -> MCEstimate:
         """Evaluate this point in the current process."""
-        model = model_for(self.spec, step_level=self.step_level)
-        if self.precision is not None:
-            return estimate_to_precision(
-                model,
-                rel_halfwidth=self.precision,
-                seed=self.seed,
-                max_trials=self.max_trials,
-                vectorized=self.vectorized,
-            )
-        return run_model(model, self.trials, self.seed, vectorized=self.vectorized)
+        return mc_expected_lifetime(
+            self.spec,
+            self.trials,
+            self.seed,
+            self.step_level,
+            precision=self.precision,
+            max_trials=self.max_trials,
+        )
 
 
 def run_task(task: MCTask) -> MCEstimate:
     """Module-level task runner (picklable for process pools)."""
     return task.run()
-
-
-class SweepExecutor(TaskExecutor):
-    """Evaluates a batch of :class:`MCTask` grid points, in order.
-
-    The Monte-Carlo face of :class:`TaskExecutor`: every grid point
-    carries its own pre-derived seed, so sweep results are bit-identical
-    for any worker count.
-    """
-
-    def map(
-        self,
-        fn_or_tasks,
-        tasks: Sequence | None = None,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> list:
-        """Run tasks, preserving input order.
-
-        ``map(tasks)`` is the Monte-Carlo shorthand (each task an
-        :class:`MCTask`); the generic ``map(fn, tasks)`` form still
-        works, so a :class:`SweepExecutor` remains substitutable
-        anywhere a :class:`TaskExecutor` is accepted.
-        """
-        if tasks is None:
-            return super().map(run_task, fn_or_tasks, on_result=on_result)
-        return super().map(fn_or_tasks, tasks, on_result=on_result)

@@ -6,10 +6,10 @@ Figure 1 (EL vs α for the five systems) and Figure 2 (EL of S2PO as κ
 varies).  Sweeps can use either the analytic formulas or the
 Monte-Carlo samplers, so benches can show both side by side.
 
-Monte-Carlo grid points are evaluated through
-:class:`repro.mc.montecarlo.SweepExecutor` (the Monte-Carlo face of the
-generic :class:`~repro.mc.executor.TaskExecutor` fan-out, which also
-hosts the protocol-level campaigns of :mod:`repro.core.campaign`): pass
+Monte-Carlo grid points are evaluated as
+:class:`repro.mc.montecarlo.MCTask` objects through the generic
+:class:`~repro.mc.executor.TaskExecutor` fan-out (which also hosts the
+protocol-level campaigns of :mod:`repro.core.campaign`): pass
 ``workers=N`` to fan the (system × α × κ) grid out across processes.
 Every point's seed is a fixed offset of the root seed computed before
 dispatch (the pre-engine layout, kept for bit-compatible regression
@@ -27,7 +27,8 @@ from ..analysis.lifetimes import expected_lifetime
 from ..core.specs import SystemClass, SystemSpec, paper_systems, s2
 from ..errors import AnalysisError
 from ..randomization.obfuscation import Scheme
-from .montecarlo import MCTask, SweepExecutor
+from .executor import TaskExecutor
+from .montecarlo import MCTask, run_task
 
 #: Log-spaced α grid covering the paper's "realistic range" (§5).
 FIGURE1_ALPHAS = (1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2)
@@ -80,14 +81,13 @@ def _evaluate_grid(
     seeds: Sequence[int],
     trials: Optional[int],
     precision: Optional[float],
-    vectorized: bool,
     workers: Optional[int],
 ) -> list[tuple[float, float, float]]:
     """(mean, ci_low, ci_high) per spec; MC points fan out in parallel.
 
     Analytic points are solved inline (they cost microseconds); every
     Monte-Carlo point becomes one :class:`MCTask` and the whole batch
-    goes through a single :class:`SweepExecutor`, so parallelism spans
+    goes through a single :class:`TaskExecutor` pass, so parallelism spans
     the full grid rather than one sweep axis at a time.
     """
     tasks: list[MCTask] = []
@@ -99,8 +99,7 @@ def _evaluate_grid(
                 MCTask(
                     spec=spec,
                     seed=seeds[i],
-                    trials=trials or 10_000,
-                    vectorized=vectorized,
+                    trials=10_000 if trials is None else trials,
                     precision=precision,
                 )
             )
@@ -109,7 +108,7 @@ def _evaluate_grid(
             value = expected_lifetime(spec)
             results[i] = (value, value, value)
     if tasks:
-        estimates = SweepExecutor(workers).map(tasks)
+        estimates = TaskExecutor(workers).map(run_task, tasks)
         for slot, estimate in zip(mc_slots, estimates):
             results[slot] = (
                 estimate.mean,
@@ -126,7 +125,6 @@ def sweep_alpha(
     seed: int = 0,
     *,
     precision: Optional[float] = None,
-    vectorized: bool = True,
     workers: Optional[int] = None,
 ) -> Series:
     """EL of ``base`` across an α grid.
@@ -138,7 +136,7 @@ def sweep_alpha(
         raise AnalysisError("alpha grid must be non-empty")
     specs = [base.with_alpha(alpha) for alpha in alphas]
     seeds = [seed + i for i in range(len(specs))]
-    evaluated = _evaluate_grid(specs, seeds, trials, precision, vectorized, workers)
+    evaluated = _evaluate_grid(specs, seeds, trials, precision, workers)
     series = Series(label=base.label, x_name="alpha")
     for alpha, (mean, lo, hi) in zip(alphas, evaluated):
         series.points.append(SweepPoint(x=alpha, mean=mean, ci_low=lo, ci_high=hi))
@@ -152,7 +150,6 @@ def sweep_kappa(
     seed: int = 0,
     *,
     precision: Optional[float] = None,
-    vectorized: bool = True,
     workers: Optional[int] = None,
 ) -> Series:
     """EL of ``base`` across a κ grid (S2 systems)."""
@@ -160,7 +157,7 @@ def sweep_kappa(
         raise AnalysisError("kappa sweeps only apply to S2 systems")
     specs = [base.with_kappa(kappa) for kappa in kappas]
     seeds = [seed + i for i in range(len(specs))]
-    evaluated = _evaluate_grid(specs, seeds, trials, precision, vectorized, workers)
+    evaluated = _evaluate_grid(specs, seeds, trials, precision, workers)
     series = Series(label=f"{base.label}@alpha={base.alpha:g}", x_name="kappa")
     for kappa, (mean, lo, hi) in zip(kappas, evaluated):
         series.points.append(SweepPoint(x=kappa, mean=mean, ci_low=lo, ci_high=hi))
@@ -173,7 +170,6 @@ def _series_grid(
     trials: Optional[int],
     seed: int,
     precision: Optional[float],
-    vectorized: bool,
     workers: Optional[int],
 ) -> list[Series]:
     """Evaluate several EL-vs-α series as one flat fanned-out grid."""
@@ -185,7 +181,7 @@ def _series_grid(
         for j, alpha in enumerate(alphas):
             specs.append(base.with_alpha(alpha))
             seeds.append(seed + 1000 * i + j)
-    evaluated = _evaluate_grid(specs, seeds, trials, precision, vectorized, workers)
+    evaluated = _evaluate_grid(specs, seeds, trials, precision, workers)
     out: list[Series] = []
     width = len(alphas)
     for i, base in enumerate(bases):
@@ -204,18 +200,11 @@ def figure1_series(
     seed: int = 0,
     *,
     precision: Optional[float] = None,
-    vectorized: bool = True,
     workers: Optional[int] = None,
 ) -> list[Series]:
     """The five curves of Figure 1 (S0PO, S2PO, S1PO, S1SO, S0SO)."""
     return _series_grid(
-        paper_systems(kappa=kappa),
-        alphas,
-        trials,
-        seed,
-        precision,
-        vectorized,
-        workers,
+        paper_systems(kappa=kappa), alphas, trials, seed, precision, workers
     )
 
 
@@ -226,12 +215,11 @@ def figure2_series(
     seed: int = 0,
     *,
     precision: Optional[float] = None,
-    vectorized: bool = True,
     workers: Optional[int] = None,
 ) -> list[Series]:
     """Figure 2: one EL-vs-α curve of S2PO per κ value."""
     bases = [s2(Scheme.PO, kappa=kappa) for kappa in kappas]
-    out = _series_grid(bases, alphas, trials, seed, precision, vectorized, workers)
+    out = _series_grid(bases, alphas, trials, seed, precision, workers)
     for series, kappa in zip(out, kappas):
         series.label = f"S2PO kappa={kappa:g}"
     return out

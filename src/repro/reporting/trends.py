@@ -40,28 +40,19 @@ DEFAULT_DROP_THRESHOLD = 0.20
 BASELINE_NAME = "trend_baseline.json"
 
 
-def _leaf_and_parent(name: str) -> tuple[str, str]:
-    parts = name.split(".")
-    return parts[-1], parts[-2] if len(parts) >= 2 else ""
-
-
 def _is_trend_name(name: str) -> bool:
-    leaf, _ = _leaf_and_parent(name)
-    if leaf.endswith("_target"):
+    if name.endswith("_target"):
         return False  # bench-internal assertion thresholds, not results
-    return higher_is_better(name) or leaf.endswith(DURATION_SUFFIXES)
+    return higher_is_better(name) or name.endswith(DURATION_SUFFIXES)
 
 
 def higher_is_better(name: str) -> bool:
     """Whether a drop in ``name`` is a regression (vs just a change).
 
-    The parent segment also qualifies, so grouped measurements like
-    ``kernel_events_per_sec.new`` count as throughput metrics.
+    Only the leaf name counts: a leaf nested under a throughput-named
+    parent, like ``kernel_events_per_sec.new``, is not a trend.
     """
-    leaf, parent = _leaf_and_parent(name)
-    return leaf.endswith(HIGHER_BETTER_SUFFIXES) or parent.endswith(
-        HIGHER_BETTER_SUFFIXES
-    )
+    return name.endswith(HIGHER_BETTER_SUFFIXES)
 
 
 def _numeric_leaves(obj, prefix: str = "") -> Iterator[tuple[str, float]]:

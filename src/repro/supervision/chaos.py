@@ -188,9 +188,6 @@ class ChaosBackend(ExecutorBackend):
         self._attempts: dict[int, int] = {}
         self._parked: list[Future] = []
 
-    def open(self) -> None:
-        self.inner.open()
-
     def close(self) -> None:
         for future in self._parked:
             future.cancel()

@@ -2,10 +2,11 @@
 
 The observability substrate of the engine (ROADMAP items 1–2 report
 through it): per-run counter structs sampled by the simulation layer
-(:class:`RunMetrics`), campaign-level typed metrics and frozen
-snapshots (:mod:`repro.telemetry.registry`), monotonic span timers with
-a JSONL trace sink (:mod:`repro.telemetry.spans`), and live progress
-lines off the streaming result hook (:mod:`repro.telemetry.progress`).
+(:class:`RunMetrics`), frozen campaign snapshots of counters, gauges
+and the steps histogram (:mod:`repro.telemetry.registry`), monotonic
+span timers with a JSONL trace sink (:mod:`repro.telemetry.spans`), and
+live progress lines off the streaming result hook
+(:mod:`repro.telemetry.progress`).
 
 Design contract: telemetry is RNG-neutral and estimate-neutral (it can
 never change an outcome), zero-overhead when disabled (plain integer
@@ -15,15 +16,7 @@ existing executor result path).
 """
 
 from .progress import ProgressReporter
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    RunMetrics,
-    fold_run_metrics,
-)
+from .registry import MetricsSnapshot, RunMetrics, fold_run_metrics
 from .spans import (
     TraceSink,
     disable_tracing,
@@ -33,10 +26,6 @@ from .spans import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "MetricsSnapshot",
     "ProgressReporter",
     "RunMetrics",

@@ -1,4 +1,4 @@
-"""Typed metrics: counters, gauges, histograms, and frozen snapshots.
+"""Per-run counters, the steps histogram, and frozen campaign snapshots.
 
 Two layers share this module:
 
@@ -12,12 +12,11 @@ Two layers share this module:
   executor result path, which is what makes campaign-level totals
   fan-out-invariant: per-run structs merge by addition, and addition
   commutes over any worker count, batch size or dispatch order.
-* :class:`MetricsRegistry` / :class:`MetricsSnapshot` — the campaign
-  aggregation vocabulary.  A registry is built *after* the runs (never
-  on a hot path), folded from per-run structs plus the cache,
-  supervision and rare-event tallies, then frozen into a picklable
-  snapshot whose :meth:`MetricsSnapshot.merge` is monotonic (counters
-  add, gauges take the latest non-``None``, histograms add bucketwise).
+* :class:`MetricsSnapshot` — the frozen campaign view.
+  :meth:`~repro.core.campaign.CampaignResult.metrics_snapshot` builds
+  one *after* the runs (never on a hot path) from the per-run structs
+  plus the cache, supervision and rare-event tallies, with
+  :func:`histogram` bucketing the steps each run survived.
 
 The telemetry contract every producer must uphold: **RNG-neutral and
 estimate-neutral**.  Metrics never touch an RNG stream and never feed
@@ -27,11 +26,10 @@ passes with telemetry on or off.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from operator import add, attrgetter, itemgetter
-from typing import Any, Iterable, Mapping, Optional
-
-from ..errors import ConfigurationError
+from typing import Any, Iterable, Mapping
 
 #: Snapshot wire-format tag (bump when the serialized shape changes).
 SNAPSHOT_FORMAT = "repro-metrics/1"
@@ -90,170 +88,46 @@ def fold_run_metrics(samples: Iterable[RunMetrics]) -> RunMetrics:
     return sum(samples, RunMetrics())
 
 
-class Counter:
-    """A monotonically increasing integer metric."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (inc {amount})"
-            )
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time numeric metric (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Cumulative-bucket histogram over fixed upper bounds.
-
-    Bounds are fixed at construction (deterministic bucketing is part
-    of the fan-out-invariance story: the same samples always land in
-    the same buckets, whatever order they arrive in).  An implicit
-    +inf bucket catches the overflow.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total")
-
-    def __init__(self, name: str, bounds: Iterable[float]) -> None:
-        self.name = name
-        self.bounds = tuple(sorted(float(b) for b in bounds))
-        if not self.bounds:
-            raise ConfigurationError(f"histogram {self.name!r} needs bounds")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        else:
-            self.counts[-1] += 1
-        self.count += 1
-        self.total += value
-
-    def as_dict(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-        }
-
-
 #: Default histogram bounds for steps-survived distributions: geometric
 #: buckets wide enough for any realistic step budget.
 STEPS_BOUNDS = tuple(float(2**k) for k in range(17))
 
 
-class MetricsRegistry:
-    """Namespace of live metrics, frozen on demand into a snapshot."""
+def histogram(
+    values: Iterable[float], bounds: tuple[float, ...] = STEPS_BOUNDS
+) -> dict:
+    """Bucket ``values`` over sorted upper ``bounds`` (JSON-ready).
 
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge(name)
-        return metric
-
-    def histogram(
-        self, name: str, bounds: Iterable[float] = STEPS_BOUNDS
-    ) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram(name, bounds)
-        return metric
-
-    def snapshot(self) -> "MetricsSnapshot":
-        """Freeze the registry's current state (sorted, picklable)."""
-        return MetricsSnapshot(
-            counters={
-                name: metric.value
-                for name, metric in sorted(self._counters.items())
-            },
-            gauges={
-                name: metric.value
-                for name, metric in sorted(self._gauges.items())
-                if metric.value is not None
-            },
-            histograms={
-                name: metric.as_dict()
-                for name, metric in sorted(self._histograms.items())
-            },
-        )
+    ``counts[i]`` holds the values ``v`` with ``bounds[i-1] < v <=
+    bounds[i]``, and one more bucket past the last bound catches the
+    overflow.  Fixed bounds are part of the fan-out-invariance story:
+    the same samples always land in the same buckets, whatever order
+    they arrive in.
+    """
+    counts = [0] * (len(bounds) + 1)
+    total = 0.0
+    for value in values:
+        counts[bisect_left(bounds, value)] += 1
+        total += value
+    return {
+        "bounds": list(bounds),
+        "counts": counts,
+        "count": sum(counts),
+        "total": total,
+    }
 
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Frozen, picklable view of a registry (or a merge of many).
+    """Frozen, picklable campaign metrics: counters, gauges, histograms.
 
     Serializes into campaign records and ``--metrics-out`` files via
-    :meth:`as_dict`; :meth:`merge` is the fan-out aggregation rule —
-    counters add, gauges take the other side's value when present,
-    histograms add bucketwise (bounds must agree).
+    :meth:`as_dict` (the ``repro-metrics/1`` format).
     """
 
     counters: dict[str, int]
     gauges: dict[str, float]
     histograms: dict[str, dict]
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = {**self.gauges, **other.gauges}
-        histograms = {name: dict(h) for name, h in self.histograms.items()}
-        for name, theirs in other.histograms.items():
-            ours = histograms.get(name)
-            if ours is None:
-                histograms[name] = dict(theirs)
-                continue
-            if list(ours["bounds"]) != list(theirs["bounds"]):
-                raise ConfigurationError(
-                    f"histogram {name!r} bounds disagree; cannot merge"
-                )
-            histograms[name] = {
-                "bounds": list(ours["bounds"]),
-                "counts": [
-                    a + b for a, b in zip(ours["counts"], theirs["counts"])
-                ],
-                "count": ours["count"] + theirs["count"],
-                "total": ours["total"] + theirs["total"],
-            }
-        return MetricsSnapshot(
-            counters=dict(sorted(counters.items())),
-            gauges=dict(sorted(gauges.items())),
-            histograms=dict(sorted(histograms.items())),
-        )
 
     def as_dict(self) -> dict:
         return {
@@ -262,17 +136,3 @@ class MetricsSnapshot:
             "gauges": dict(self.gauges),
             "histograms": {n: dict(h) for n, h in self.histograms.items()},
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MetricsSnapshot":
-        if payload.get("format") != SNAPSHOT_FORMAT:
-            raise ConfigurationError(
-                f"not a {SNAPSHOT_FORMAT} snapshot: {payload.get('format')!r}"
-            )
-        return cls(
-            counters={str(k): int(v) for k, v in payload["counters"].items()},
-            gauges={str(k): float(v) for k, v in payload["gauges"].items()},
-            histograms={
-                str(k): dict(v) for k, v in payload.get("histograms", {}).items()
-            },
-        )

@@ -43,6 +43,12 @@ def test_figure1_with_mc_trials(capsys):
     assert "[" in out  # CI brackets
 
 
+def test_figure1_rejects_zero_mc_trials(capsys):
+    code, out, err = run_cli(capsys, "figure1", "--mc-trials", "0")
+    assert code == 2
+    assert "at least 2 trials" in err
+
+
 def test_figure2(capsys):
     code, out, err = run_cli(capsys, "figure2")
     assert code == 0

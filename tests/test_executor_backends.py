@@ -68,16 +68,13 @@ def test_executor_delegates_to_injected_backend():
 
         def __init__(self):
             self.calls = []
-            self.opened = self.closed = False
+            self.closed = False
 
         def submit(self, fn, task):
             self.calls.append(task)
             future = Future()
             future.set_result(fn(task))
             return future
-
-        def open(self):
-            self.opened = True
 
         def close(self):
             self.closed = True
@@ -87,7 +84,7 @@ def test_executor_delegates_to_injected_backend():
         assert executor.map(_square, [2, 5]) == [4, 25]
         assert not backend.closed  # the scope keeps the transport open
     assert backend.calls == [2, 5]
-    assert backend.opened and backend.closed
+    assert backend.closed
 
 
 # ----------------------------------------------------------------------

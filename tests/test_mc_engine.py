@@ -28,14 +28,19 @@ from repro.analysis.sensitivity import (
 from repro.errors import AnalysisError
 from repro.core.specs import paper_systems, s1, s2
 from repro.errors import ConfigurationError, UnsampleableSpecError
-from repro.mc.executor import StreamingMoments, derive_point_seed, resolve_workers
+from repro.mc.executor import (
+    StreamingMoments,
+    TaskExecutor,
+    derive_point_seed,
+    resolve_workers,
+)
 from repro.mc.models import S2POStepModel, model_for
 from repro.mc.montecarlo import (
     MCTask,
-    SweepExecutor,
     estimate_to_precision,
     mc_expected_lifetime,
     run_model,
+    run_task,
 )
 from repro.mc.sweeps import figure1_series, sweep_alpha
 from repro.randomization.obfuscation import Scheme
@@ -100,13 +105,13 @@ def test_sample_batch_rejects_bad_chunk():
 
 
 def test_run_model_scalar_flag_replays_reference_path():
-    """``vectorized=False`` is the bit-stable regression anchor."""
+    """``run_model`` draws through ``sample_batch`` with the seeded rng."""
     spec = s2(Scheme.SO, alpha=5e-3, kappa=0.5)
     model = model_for(spec)
-    reference = model.sample(5_000, np.random.default_rng(21))
-    estimate = run_model(model, 5_000, seed=21, vectorized=False)
-    assert estimate.mean == pytest.approx(float(reference.mean()))
-    assert estimate.stats.maximum == float(reference.max())
+    batched = model.sample_batch(5_000, np.random.default_rng(21))
+    estimate = run_model(model, 5_000, seed=21)
+    assert estimate.mean == pytest.approx(float(batched.mean()))
+    assert estimate.stats.maximum == float(batched.max())
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +211,7 @@ def test_executor_preserves_task_order():
         MCTask(spec=s1(Scheme.PO, alpha=alpha), seed=i, trials=500)
         for i, alpha in enumerate((1e-2, 2e-2, 5e-2))
     ]
-    estimates = SweepExecutor(workers=2).map(tasks)
+    estimates = TaskExecutor(workers=2).map(run_task, tasks)
     assert [e.spec.alpha for e in estimates] == [1e-2, 2e-2, 5e-2]
     # Coarser alpha, shorter lifetime — order must reflect inputs, not
     # completion time.

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.lifetimes import expected_lifetime, survival_curve
 from repro.core.specs import s1, s2
 from repro.errors import AnalysisError, ConfigurationError
-from repro.mc.montecarlo import mc_expected_lifetime, mc_survival_curve
+from repro.mc.montecarlo import MCTask, mc_expected_lifetime, mc_survival_curve
 from repro.mc.sweeps import (
     FIGURE1_ALPHAS,
     FIGURE2_KAPPAS,
@@ -32,6 +32,23 @@ def test_mc_estimate_fields_and_ci():
 def test_mc_needs_at_least_two_trials():
     with pytest.raises(ConfigurationError):
         mc_expected_lifetime(s1(Scheme.PO, alpha=1e-2), trials=1)
+
+
+def test_zero_precision_budget_is_rejected_not_defaulted():
+    """``max_trials=0`` reaches the budget check instead of reading as
+    "use the default budget" and drawing a full batch."""
+    spec = s1(Scheme.PO, alpha=1e-2)
+    with pytest.raises(ConfigurationError, match="max_trials"):
+        mc_expected_lifetime(spec, precision=0.05, max_trials=0)
+    with pytest.raises(ConfigurationError, match="max_trials"):
+        MCTask(spec=spec, seed=0, precision=0.05, max_trials=0).run()
+
+
+def test_zero_sweep_trials_are_rejected_not_defaulted():
+    """``trials=0`` reaches the trial-count check instead of reading as
+    the 10,000-trial default."""
+    with pytest.raises(ConfigurationError, match="at least 2 trials"):
+        sweep_alpha(s1(Scheme.PO), alphas=(1e-2,), trials=0)
 
 
 def test_mc_survival_curve_matches_analytic():

@@ -293,15 +293,6 @@ def test_campaign_precision_falls_back_on_refused_points():
     assert healthy.converged
 
 
-def test_sweep_executor_still_accepts_generic_map_form():
-    """SweepExecutor stays substitutable as a TaskExecutor: both the
-    MC shorthand map(tasks) and the generic map(fn, tasks) work."""
-    from repro.mc.montecarlo import SweepExecutor
-
-    executor = SweepExecutor(workers=1)
-    assert executor.map(_pid_task, [1, 2]) == [os.getpid()] * 2
-
-
 def test_unconverged_campaign_points_flagged_in_table():
     spec = s1(Scheme.SO, alpha=0.2, entropy_bits=6)
     result = run_campaign(

@@ -27,7 +27,6 @@ from repro.reporting.trends import (
     write_baseline,
 )
 from repro.telemetry import (
-    MetricsRegistry,
     ProgressReporter,
     RunMetrics,
     disable_tracing,
@@ -35,6 +34,7 @@ from repro.telemetry import (
     span,
     tracing_enabled,
 )
+from repro.telemetry.registry import histogram
 
 
 def _small_grid():
@@ -54,7 +54,7 @@ def _record_sans_wall(result) -> str:
 
 
 # ----------------------------------------------------------------------
-# RunMetrics / MetricsRegistry primitives
+# RunMetrics primitives
 # ----------------------------------------------------------------------
 def test_run_metrics_merge_and_round_trip():
     a = RunMetrics(events_executed=10, probes_direct=3, messages_sent=7)
@@ -70,20 +70,14 @@ def test_run_metrics_merge_and_round_trip():
         RunMetrics.from_dict({"events_executed": 4, "novel_field": 9})
 
 
-def test_snapshot_merge_semantics():
-    first = MetricsRegistry()
-    first.counter("runs").inc(3)
-    first.gauge("rate").set(10.0)
-    first.histogram("steps").observe(3)
-    second = MetricsRegistry()
-    second.counter("runs").inc(2)
-    second.gauge("rate").set(20.0)
-    second.histogram("steps").observe(100)
-    merged = first.snapshot().merge(second.snapshot())
-    assert merged.counters["runs"] == 5  # counters add
-    assert merged.gauges["rate"] == 20.0  # gauges last-write-wins
-    assert merged.histograms["steps"]["count"] == 2  # histograms fold
-    assert merged.histograms["steps"]["total"] == 103.0
+def test_histogram_buckets_by_upper_bound_with_overflow():
+    buckets = histogram([0, 1, 2, 3, 9, 8], bounds=(1.0, 2.0, 8.0))
+    assert buckets == {
+        "bounds": [1.0, 2.0, 8.0],
+        "counts": [2, 1, 2, 1],  # (.., 1], (1, 2], (2, 8], overflow
+        "count": 6,
+        "total": 23.0,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +215,7 @@ def test_trends_collect_select_and_guard(tmp_path):
         json.dumps(
             {
                 "kernel_events_per_sec": {"new": 100.0, "legacy": 50.0},
+                "rates": {"runs_per_sec": 8.0},
                 "warm_speedup": 4.0,
                 "elapsed_seconds": 2.0,
                 "seed": 123,  # config scalar: must not become a trend
@@ -229,7 +224,10 @@ def test_trends_collect_select_and_guard(tmp_path):
         )
     )
     current = collect_trends(tmp_path)
-    assert "bench_demo.kernel_events_per_sec.new" in current
+    # Only the leaf name counts: a nested leaf is not a trend, even under
+    # a throughput-named parent.
+    assert "bench_demo.kernel_events_per_sec.new" not in current
+    assert "bench_demo.rates.runs_per_sec" in current
     assert "bench_demo.warm_speedup" in current
     assert "bench_demo.elapsed_seconds" in current
     assert "bench_demo.seed" not in current
