@@ -38,7 +38,7 @@ import queue
 import time
 import warnings
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from ..supervision.policy import FailureManifest, SupervisionPolicy
+    from .pool import WorkerPool
 
 # ``numpy.random.SeedSequence`` constants: a pool of four 32-bit words,
 # filled and mixed by ``hashmix`` (``_INIT_A``/``_MULT_A``), combined by
@@ -374,12 +375,14 @@ class SerialBackend(ExecutorBackend):
 
 
 class LocalPoolBackend(ExecutorBackend):
-    """Submits tasks to a local :class:`ProcessPoolExecutor`.
+    """Submits tasks to a local pool of forked worker processes.
 
-    The pool starts on the first :meth:`submit` and lives until
-    :meth:`recycle` or :meth:`close`; the executor closes it after every
-    round unless the round runs inside a ``with TaskExecutor(...)``
-    block.  Start-up refusals and broken pools surface as transport
+    The pool (:class:`~repro.mc.pool.WorkerPool`) starts on the first
+    :meth:`submit` and lives until :meth:`recycle` or :meth:`close`; the
+    executor closes it after every round unless the round runs inside a
+    ``with TaskExecutor(...)`` block.  Neither waits on a task: a worker
+    still running one (a task the executor abandoned on timeout) is
+    killed.  Start-up refusals and broken pools surface as transport
     errors for the executor's loop to absorb.
     """
 
@@ -392,22 +395,18 @@ class LocalPoolBackend(ExecutorBackend):
                 "(use SerialBackend for in-process execution)"
             )
         self.workers = workers
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: WorkerPool | None = None
 
     def submit(self, fn: Callable[[TaskT], ResultT], task) -> Future:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            from .pool import WorkerPool  # deferred: only a pool start needs it
+
+            self._pool = WorkerPool(self.workers)
         return self._pool.submit(fn, task)
 
     def recycle(self) -> None:
-        """Discard the pool without waiting, cancelling queued work.
-
-        A suspect pool (broken, or starved by hung workers) would block a
-        graceful shutdown on exactly the tasks that failed it.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        """Cancel queued work and stop the workers, killing busy ones."""
+        self.close()
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
@@ -479,7 +478,7 @@ class TaskExecutor:
             )
 
     @property
-    def _pool(self) -> ProcessPoolExecutor | None:
+    def _pool(self) -> WorkerPool | None:
         """The live process pool, if the backend holds one (tests peek)."""
         return getattr(self.backend, "_pool", None)
 

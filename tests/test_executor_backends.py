@@ -1,26 +1,41 @@
 """Tests for the executor's dispatch loop and its transport backends.
 
 Locks down the :class:`~repro.mc.executor.ExecutorBackend` transport
-split and — with a monkeypatched flaky pool — the exactly-once /
-in-order guarantees of :meth:`~repro.mc.executor.TaskExecutor.map`'s
-pool-breakage recovery:
+split and, with real worker processes and real faults, the
+exactly-once / in-order guarantees of
+:meth:`~repro.mc.executor.TaskExecutor.map`'s recovery:
 
-* mid-map breakage keeps every result a worker already computed and
-  re-runs only the unfinished tasks, serially, in input order;
-* submit-time breakage shuts the pool down (cancelling queued work)
-  *before* the serial re-run, so no task's result can be produced by
-  both a worker and the fallback;
-* a property test over task count, workers, break point and policy:
-  one result per task in input order, ``on_result`` once per index,
-  every kept result from a task that ran exactly once.
+* a worker that dies mid-task breaks the pool: its futures fail with
+  ``BrokenProcessPool``, finished results are kept and the rest run
+  in-process, in input order;
+* submit-time breakage shuts the pool down *before* the serial re-run;
+* a pool whose workers cannot fork falls back to serial execution;
+* a task whose result cannot be pickled fails only its own future;
+* a task abandoned on timeout never holds up its round: the worker
+  running it is killed;
+* a stress test of the state the pool's reader thread shares with
+  ``submit``;
+* a property test over task count, workers, break point and policy
+  (deterministic fake pools behind the ``WorkerPool`` seam): one
+  result per task in input order, ``on_result`` once per index, every
+  kept result from a task that ran exactly once.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import warnings
 from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -28,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.mc.pool import WorkerPool
 from repro.mc.executor import (
     ExecutorBackend,
     LocalPoolBackend,
@@ -35,11 +51,27 @@ from repro.mc.executor import (
     TaskExecutor,
     backend_for,
 )
-from repro.supervision import SupervisionPolicy
+from repro.supervision import Quarantined, SupervisionPolicy
+
+PARENT = os.getpid()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _pid_task(task: int) -> tuple[int, int]:
+    return task, os.getpid()
+
+
+def _dying_task(task: int) -> tuple[int, int]:
+    """Runs like :func:`_pid_task`, but task 2 kills its worker after a
+    pause (the other tasks finish first); in the parent it is inert."""
+    if task == 2 and os.getpid() != PARENT:
+        time.sleep(0.5)
+        os._exit(13)
+    return _pid_task(task)
 
 
 # ----------------------------------------------------------------------
@@ -88,136 +120,139 @@ def test_executor_delegates_to_injected_backend():
 
 
 # ----------------------------------------------------------------------
-# Flaky-pool regression battery
+# Real-process transport battery
 # ----------------------------------------------------------------------
-class FlakyPool:
-    """A fake process pool that breaks after ``complete_first`` tasks.
-
-    Completed futures carry real results (computed in-process, counted
-    per task); the rest raise :class:`BrokenProcessPool` from
-    ``result()`` — exactly how a pool whose worker died mid-campaign
-    behaves.  ``events`` records the interleaving of executions and
-    shutdown so tests can assert recovery ordering.
-    """
-
-    def __init__(self, fn_log, events, complete_first):
-        self.fn_log = fn_log
-        self.events = events
-        self.complete_first = complete_first
-        self.submitted = 0
-        self.shutdown_args = None
-
-    def submit(self, fn, task):
-        future = Future()
-        if self.submitted < self.complete_first:
-            self.fn_log.append(("pool", task))
-            future.set_result(fn(task))
-        else:
-            future.set_exception(BrokenProcessPool("worker died"))
-        self.submitted += 1
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.events.append("shutdown")
-        self.shutdown_args = {"wait": wait, "cancel_futures": cancel_futures}
+def test_worker_exit_fails_its_futures_as_broken_pool():
+    backend = LocalPoolBackend(2)
+    try:
+        futures = [backend.submit(_dying_task, task) for task in range(5)]
+        outcomes = []
+        for future in futures:
+            error = future.exception(timeout=30)
+            outcomes.append(type(error) if error else future.result())
+        assert outcomes[2] is BrokenProcessPool
+        # The quick tasks finished on a worker before the pool broke.
+        assert outcomes[0][0] == 0 and outcomes[0][1] != PARENT
+        with pytest.raises(BrokenProcessPool):
+            backend.submit(_square, 3)
+    finally:
+        backend.close()
+    assert multiprocessing.active_children() == []
 
 
-def _flaky_backend(monkeypatch, fn_log, events, *, complete_first):
-    pools = []
-
-    def factory(max_workers=None):
-        pool = FlakyPool(fn_log, events, complete_first)
-        pools.append(pool)
-        return pool
-
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", factory)
-    return TaskExecutor(backend=LocalPoolBackend(2)), pools
-
-
-def test_midmap_breakage_keeps_results_ordered_exactly_once(monkeypatch):
-    fn_log, events = [], []
-    backend, pools = _flaky_backend(monkeypatch, fn_log, events, complete_first=2)
-    tasks = [5, 6, 7, 8]
-
-    def tracked(task):
-        events.append(("run", task))
-        return _square(task)
-
+def test_midmap_breakage_keeps_results_ordered_exactly_once():
+    landed = Counter()
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-        results = backend.map(tracked, tasks)
+        results = TaskExecutor(2).map(
+            _dying_task,
+            list(range(5)),
+            on_result=lambda index, result: landed.update([index]),
+        )
     # In order, nothing lost, nothing duplicated.
-    assert results == [25, 36, 49, 64]
-    pool_ran = [task for kind, task in fn_log if kind == "pool"]
-    tracked_ran = [event[1] for event in events if event != "shutdown"]
-    assert pool_ran == [5, 6]
-    assert tracked_ran == [5, 6, 7, 8]  # tracked fn ran once per task
-    assert [pool.shutdown_args for pool in pools] == [
-        {"wait": False, "cancel_futures": True}
-    ]
+    assert [task for task, _ in results] == [0, 1, 2, 3, 4]
+    assert landed == Counter(range(5))
+    # The dying task re-ran in the parent after the pool broke; the
+    # result a worker finished before it is kept, not re-run.
+    assert results[2][1] == PARENT
+    assert results[0][1] != PARENT
+    assert multiprocessing.active_children() == []
+
+
+def _unpicklable_result(task: int):
+    if task == 1:
+        return threading.Lock()  # cannot travel back to the orchestrator
+    return task
+
+
+def test_unpicklable_result_fails_only_its_own_future():
+    backend = LocalPoolBackend(2)
+    try:
+        futures = [backend.submit(_unpicklable_result, task) for task in range(4)]
+        error = futures[1].exception(timeout=30)
+        assert isinstance(error, TypeError) and "pickle" in str(error)
+        assert [futures[i].result(timeout=30) for i in (0, 2, 3)] == [0, 2, 3]
+        # The pool is intact: it serves the next task.
+        assert backend.submit(_square, 4).result(timeout=30) == 16
+    finally:
+        backend.close()
+    # Through the executor it is an ordinary task error.
+    with pytest.raises(TypeError, match="pickle"):
+        TaskExecutor(2).map(_unpicklable_result, list(range(4)))
 
 
 def test_submit_breakage_cancels_pool_before_serial_rerun(monkeypatch):
-    fn_log, events = [], []
-    backend, pools = _flaky_backend(monkeypatch, fn_log, events, complete_first=0)
-    # Break at submit time: the pool raises on the first submit call.
-    pools_submit = FlakyPool.submit
+    events = []
+    shutdown = WorkerPool.shutdown
 
-    def raising_submit(self, fn, task):
-        raise BrokenProcessPool("pool died while idle")
+    def recorded_shutdown(pool):
+        events.append("shutdown")
+        shutdown(pool)
 
-    monkeypatch.setattr(FlakyPool, "submit", raising_submit)
-    tasks = [2, 3, 4]
+    monkeypatch.setattr(WorkerPool, "shutdown", recorded_shutdown)
 
     def tracked(task):
         events.append(("run", task))
         return _square(task)
 
-    with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-        results = backend.map(tracked, tasks)
-    monkeypatch.setattr(FlakyPool, "submit", pools_submit)
+    with TaskExecutor(2) as executor:
+        worker_pids = {pid for _, pid in executor.map(_pid_task, [0, 1, 2, 3])}
+        pool = executor._pool
+        os.kill(worker_pids.pop(), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while pool._broken is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken is not None  # the reader saw the worker die
+        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+            results = executor.map(tracked, [2, 3, 4])
     assert results == [4, 9, 16]
-    # The broken pool was shut down with cancellation BEFORE any serial
-    # execution — queued tasks cannot race the fallback.  (A second,
-    # idempotent shutdown from the cleanup path may trail the runs.)
-    assert events[0] == "shutdown"
-    assert [e for e in events if e != "shutdown"] == [
-        ("run", 2),
-        ("run", 3),
-        ("run", 4),
-    ]
-    assert pools[0].shutdown_args == {"wait": False, "cancel_futures": True}
+    # The broken pool was shut down BEFORE any serial execution.  (The
+    # scope's close finds no pool left to shut down.)
+    assert events == ["shutdown", ("run", 2), ("run", 3), ("run", 4)]
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_start_failure_falls_back_serially(monkeypatch):
-    def no_pools(max_workers=None):
-        raise OSError("no more processes")
+    """The second fork is refused: the pool kills the worker it did
+    start and the round runs serially, with a warning."""
+    forks = []
+    real_fork = os.fork
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", no_pools)
+    def fork_once():
+        if forks:
+            raise OSError("no more processes")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
     executor = TaskExecutor(backend=LocalPoolBackend(2))
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert executor.map(_pid_task, [1, 2, 3]) == [(t, PARENT) for t in (1, 2, 3)]
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
 
 
-def test_persistent_flaky_pool_is_replaced_next_round(monkeypatch):
+def test_persistent_flaky_pool_is_replaced_next_round():
     """A broken persistent pool is discarded; the next map() round gets
     a fresh one instead of resubmitting into the corpse."""
-    fn_log, events = [], []
-    executor, pools = _flaky_backend(monkeypatch, fn_log, events, complete_first=1)
-    with executor:
+    with TaskExecutor(2) as executor:
         with pytest.warns(RuntimeWarning):
-            assert executor.map(_square, [1, 2]) == [1, 4]
+            first = executor.map(_dying_task, list(range(5)))
         assert executor._pool is None
-        # Second round: fresh pool (its first task completes again).
-        with pytest.warns(RuntimeWarning):
-            assert executor.map(_square, [3, 4]) == [9, 16]
-    assert len(pools) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            second = executor.map(_pid_task, list(range(4)))
+        assert executor._pool is not None
+    assert [task for task, _ in first] == [0, 1, 2, 3, 4]
+    fresh = {pid for _, pid in second}
+    assert PARENT not in fresh
+    assert fresh.isdisjoint(pid for _, pid in first)
 
 
 def test_single_task_short_circuits_the_pool(monkeypatch):
-    def no_pools(max_workers=None):  # pragma: no cover - must not be hit
+    def no_fork():  # pragma: no cover - must not be hit
         raise AssertionError("single-task map must not build a pool")
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", no_pools)
+    monkeypatch.setattr(os, "fork", no_fork)
     executor = TaskExecutor(backend=LocalPoolBackend(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -225,37 +260,132 @@ def test_single_task_short_circuits_the_pool(monkeypatch):
         assert executor.map(_square, []) == []
 
 
-def test_pool_lives_only_inside_the_with_block(monkeypatch):
-    fn_log, events = [], []
-    executor, pools = _flaky_backend(monkeypatch, fn_log, events, complete_first=99)
-    assert executor.map(_square, [1, 2]) == [1, 4]
-    # Outside a with block the round closes its pool (gracefully).
+def test_pool_lives_only_inside_the_with_block():
+    executor = TaskExecutor(2)
+    assert [task for task, _ in executor.map(_pid_task, [1, 2])] == [1, 2]
+    # Outside a with block the round closes its pool.
     assert executor._pool is None
-    assert pools[0].shutdown_args == {"wait": True, "cancel_futures": False}
+    assert multiprocessing.active_children() == []
     with executor:
-        executor.map(_square, [3, 4])
-        executor.map(_square, [5, 6])
-        assert executor._pool is pools[1]  # one pool served both rounds
-    assert executor._pool is None and len(pools) == 2
+        first = executor.map(_pid_task, list(range(6)))
+        pool = executor._pool
+        second = executor.map(_pid_task, list(range(6)))
+        assert executor._pool is pool  # one pool served both rounds
+        assert multiprocessing.active_children() != []
+    pids = {pid for _, pid in first + second}
+    assert PARENT not in pids and len(pids) <= 2
+    assert executor._pool is None
+    assert multiprocessing.active_children() == []
 
 
-def test_unsupervised_task_errors_propagate_unchanged(monkeypatch):
-    fn_log, events = [], []
-    executor, pools = _flaky_backend(monkeypatch, fn_log, events, complete_first=99)
+def _picky(task: int) -> int:
+    if task == 3:
+        raise KeyError("task-level failure")
+    return task
 
-    def picky(task):
+
+def test_unsupervised_task_errors_propagate_unchanged():
+    executor = TaskExecutor(2)
+    with pytest.raises(KeyError, match="task-level failure") as caught:
+        executor.map(_picky, [1, 2, 3, 4])
+    # The worker's traceback rides along as the cause.
+    assert "_picky" in str(caught.value.__cause__)
+    # The round's pool is dropped, workers and all.
+    assert executor._pool is None
+    assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# A task abandoned on timeout never holds up its round
+# ----------------------------------------------------------------------
+_TIMEOUT_SCRIPT = textwrap.dedent(
+    """
+    import time
+    import warnings
+
+    from repro.mc.executor import TaskExecutor
+    from repro.supervision import SupervisionPolicy
+
+
+    def nap(task):
         if task == 3:
-            raise KeyError("task-level failure")
+            time.sleep(6.0)
         return task
 
-    with pytest.raises(KeyError, match="task-level failure"):
-        executor.map(picky, [1, 2, 3, 4])
-    # The round's pool is dropped without waiting on queued work.
-    assert pools[0].shutdown_args == {"wait": False, "cancel_futures": True}
+
+    if __name__ == "__main__":
+        policy = SupervisionPolicy(task_timeout=0.5, max_attempts=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            TaskExecutor(2, policy=policy).map(nap, [0, 1, 2, 3])
+    """
+)
+
+
+def _nap(task: int) -> int:
+    if task == 3:
+        time.sleep(6.0)
+    return task
+
+
+def test_timed_out_task_is_killed_not_waited_for(tmp_path):
+    policy = SupervisionPolicy(task_timeout=0.5, max_attempts=1)
+    start = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the quarantine notice
+        results = TaskExecutor(2, policy=policy).map(_nap, [0, 1, 2, 3])
+    elapsed = time.monotonic() - start
+    assert results[:3] == [0, 1, 2]
+    assert isinstance(results[3], Quarantined) and results[3].failure.kind == "timeout"
+    assert elapsed < 2.0
+    assert multiprocessing.active_children() == []
+    # Nor does the interpreter wait for it at exit.
+    script = tmp_path / "abandon.py"
+    script.write_text(_TIMEOUT_SCRIPT)
+    start = time.monotonic()
+    subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+        timeout=30,
+    )
+    assert time.monotonic() - start < 4.0
+
+
+# ----------------------------------------------------------------------
+# Reader thread vs submit: shared-state stress
+# ----------------------------------------------------------------------
+def test_reader_and_submit_share_state_safely():
+    """Four workers on a small machine, ~2,000 tiny tasks and a very
+    short switch interval: every index lands exactly once, in order."""
+    tasks = list(range(2000))
+    landed = Counter()
+    rounds = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with TaskExecutor(4) as executor:
+            results = executor.map(
+                _square, tasks, on_result=lambda i, r: landed.update([i])
+            )
+            pool = executor._pool
+            for start in range(0, 500, 20):  # short rounds: bursts meet results
+                chunk = tasks[start : start + 20]
+                rounds.append(executor.map(abs, [-t for t in chunk]))
+                # Nothing outstanding between rounds: no update was lost.
+                assert not pool._backlog
+                assert all(not worker.futures for worker in pool._workers)
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == [t * t for t in tasks]
+    assert [t for chunk in rounds for t in chunk] == tasks[:500]
+    assert landed == Counter(tasks)
+    assert not pool._reader.is_alive()  # close() joined it
+    assert multiprocessing.active_children() == []
 
 
 class _BreakingPool:
-    """FlakyPool variant for the property test: tasks run (counted) at
+    """A fake worker pool for the property test: tasks run (counted) at
     submit until ``complete_first`` submits, then the pool is broken —
     either raising at submit or handing back futures that fail
     mid-round without ever running their task."""
@@ -276,7 +406,7 @@ class _BreakingPool:
             future.set_exception(BrokenProcessPool("worker died"))
         return future
 
-    def shutdown(self, wait=True, cancel_futures=False):
+    def shutdown(self):
         pass
 
 
@@ -295,7 +425,7 @@ def test_dispatch_loop_keeps_one_result_per_task_in_order(
     runs = Counter()
     pools = []
 
-    def factory(max_workers=None):
+    def factory(workers):
         healthy = pools and later_pools_heal
         pools.append(_BreakingPool(10**6 if healthy else break_after, at_submit))
         return pools[-1]
@@ -310,7 +440,7 @@ def test_dispatch_loop_keeps_one_result_per_task_in_order(
         if supervised
         else None
     )
-    with mock.patch("repro.mc.executor.ProcessPoolExecutor", factory):
+    with mock.patch("repro.mc.pool.WorkerPool", factory):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             executor = TaskExecutor(workers, policy=policy)

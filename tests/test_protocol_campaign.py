@@ -27,7 +27,7 @@ from repro.core.campaign import CampaignResult, campaign_grid, run_campaign
 from repro.core.experiment import ProtocolTask, run_protocol_task
 from repro.core.specs import SystemClass, s0, s1, s2
 from repro.errors import ConfigurationError
-from repro.mc.executor import TaskExecutor, derive_point_seed
+from repro.mc.executor import LocalPoolBackend, TaskExecutor, derive_point_seed
 from repro.mc.montecarlo import mc_expected_lifetime
 from repro.randomization.obfuscation import Scheme
 from repro.reporting.tables import render_campaign_table
@@ -37,13 +37,13 @@ def _pools_work() -> bool:
     """Whether this platform can actually start a process pool (the
     executor's serial fallback keeps production code working without
     one, but the pool-observing tests below have nothing to observe)."""
-    from concurrent.futures import ProcessPoolExecutor
-
+    backend = LocalPoolBackend(2)
     try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(os.getpid).result(timeout=60) > 0
+        return backend.submit(abs, -1).result(timeout=60) == 1
     except Exception:
         return False
+    finally:
+        backend.close()
 
 
 needs_pool = pytest.mark.skipif(
@@ -121,7 +121,7 @@ def test_campaign_bit_identical_under_serial_fallback(monkeypatch):
     def _refuse(*args, **kwargs):
         raise PermissionError("process pools forbidden")
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", _refuse)
+    monkeypatch.setattr("os.fork", _refuse)
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
         fallback = run_campaign(specs, trials=4, max_steps=40, seed=3, workers=4)
     for a, b in zip(baseline, fallback):

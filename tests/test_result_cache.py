@@ -262,7 +262,7 @@ def test_warm_hits_are_fanout_invariant(tmp_path, monkeypatch):
     def broken_pool(*args, **kwargs):
         raise OSError("pools forbidden in this test")
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", broken_pool)
+    monkeypatch.setattr("os.fork", broken_pool)
     with warnings.catch_warnings():
         # Fully warm: the executor is never even asked for a pool, so
         # not even the serial-fallback warning may fire.

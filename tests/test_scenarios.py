@@ -376,7 +376,7 @@ def test_scenario_campaign_bit_identical_under_serial_fallback(monkeypatch):
     def _refuse(*args, **kwargs):
         raise PermissionError("process pools forbidden")
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", _refuse)
+    monkeypatch.setattr("os.fork", _refuse)
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
         fallback = run_scenario_campaign(
             TORTURE, trials=4, max_steps=30, seed=3, workers=4, batch_size=2

@@ -138,7 +138,7 @@ def test_metrics_snapshot_invariant_across_fanout(monkeypatch):
     def _refuse(*args, **exec_kwargs):
         raise PermissionError("process pools forbidden")
 
-    monkeypatch.setattr("repro.mc.executor.ProcessPoolExecutor", _refuse)
+    monkeypatch.setattr("os.fork", _refuse)
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
         fallback = run_campaign(specs, workers=2, **kwargs)
 
