@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import CryptoError
 from .keys import KeyPair, generate_keypair
@@ -37,52 +37,81 @@ def canonical_bytes(obj: Any) -> bytes:
     the original bytes; ``repr`` escapes every surrogate of a ``str``
     leaf, so no other piece can collide with them.
     """
-    out: list[str] = []
-    _encode(obj, out.append)
-    return "".join(out).encode("utf-8", "surrogateescape")
+    return _text(obj).encode("utf-8", "surrogateescape")
 
 
-def _encode(obj: Any, emit: Callable[[str], None]) -> None:
+def _text(obj: Any) -> str:
+    """Canonical text of ``obj``, joined from string pieces.
+
+    Exactly-typed scalars, dicts, lists, tuples and :class:`Signed`
+    take the inline path, and containers encode their scalar children
+    without a call; everything else (``bytes``, subclasses such as an
+    ``IntEnum``, unsupported types) goes through :func:`_other_text`.
+    """
     cls = type(obj)
-    kind = _KINDS.get(cls) or _subclass_kind(obj)
-    if kind is _SCALAR:
-        emit(f"{cls.__name__}:{obj!r};")
-    elif kind is _MAP:
-        emit("map{")
-        for key in sorted(obj, key=repr):
-            _encode(key, emit)
-            emit("=")
-            _encode(obj[key], emit)
-        emit("}")
-    elif kind is _SEQ:
-        emit("seq[")
-        for item in obj:
-            _encode(item, emit)
-        emit("]")
-    elif kind is _SIGNED:
-        emit("signed<")
-        _encode(obj.payload, emit)
-        _encode(obj.signer, emit)
-        _encode(obj.signature, emit)
-        emit(">")
-    else:
-        emit(f"bytes:{obj.decode('utf-8', 'surrogateescape')};")
+    prefix = _SCALAR_PREFIX.get(cls)
+    if prefix is not None:
+        return f"{prefix}{obj!r};"
+    if cls is dict:
+        return _map_text(obj)
+    if cls is list or cls is tuple:
+        return _seq_text(obj)
+    if cls is Signed:
+        return _signed_text(_text(obj.payload), obj)
+    return _other_text(obj)
 
 
-def _subclass_kind(obj: Any) -> str:
-    """Kind of a value whose exact type is not in ``_KINDS`` (a subclass
-    such as an ``IntEnum``), checked in the encoding's precedence order."""
+def _map_text(obj: Any) -> str:
+    pieces = ["map{"]
+    append = pieces.append
+    for key in sorted(obj, key=repr):
+        prefix = _SCALAR_PREFIX.get(type(key))
+        append(f"{prefix}{key!r};=" if prefix is not None else _text(key) + "=")
+        value = obj[key]
+        prefix = _SCALAR_PREFIX.get(type(value))
+        append(f"{prefix}{value!r};" if prefix is not None else _text(value))
+    append("}")
+    return "".join(pieces)
+
+
+def _seq_text(obj: Any) -> str:
+    pieces = ["seq["]
+    append = pieces.append
+    for item in obj:
+        prefix = _SCALAR_PREFIX.get(type(item))
+        append(f"{prefix}{item!r};" if prefix is not None else _text(item))
+    append("]")
+    return "".join(pieces)
+
+
+def _signed_text(payload_text: str, obj: Signed) -> str:
+    """Text of the envelope ``obj`` whose payload encodes as
+    ``payload_text``."""
+    return f"signed<{payload_text}{_text(obj.signer)}{_text(obj.signature)}>"
+
+
+def _other_text(obj: Any) -> str:
+    """Text of a value off the exact-type path, checked in the
+    encoding's precedence order (a subclass encodes like its base, a
+    scalar subclass under its own class name)."""
     if isinstance(obj, (bool, int, float, str)):
-        return _SCALAR
+        return f"{type(obj).__name__}:{obj!r};"
     if isinstance(obj, bytes):
-        return _BYTES
+        return f"bytes:{obj.decode('utf-8', 'surrogateescape')};"
     if isinstance(obj, (list, tuple)):
-        return _SEQ
+        return _seq_text(obj)
     if isinstance(obj, dict):
-        return _MAP
+        return _map_text(obj)
     if isinstance(obj, Signed):
-        return _SIGNED
+        return _signed_text(_text(obj.payload), obj)
     raise CryptoError(f"cannot canonicalize value of type {type(obj).__name__}")
+
+
+def _digest(private: str, text: str) -> str:
+    """Signature tag of canonical ``text`` under ``private``."""
+    digest = hashlib.sha256(private.encode("utf-8"))
+    digest.update(text.encode("utf-8", "surrogateescape"))
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -105,21 +134,14 @@ class Signed:
     signature: str
 
 
-_SCALAR, _BYTES, _SEQ, _MAP, _SIGNED = "scalar", "bytes", "seq", "map", "signed"
-
-#: Encoding kind of each exactly-typed value; subclasses go through
-#: :func:`_subclass_kind`.
-_KINDS: dict[type, str] = {
-    str: _SCALAR,
-    int: _SCALAR,
-    bool: _SCALAR,
-    float: _SCALAR,
-    type(None): _SCALAR,
-    dict: _MAP,
-    list: _SEQ,
-    tuple: _SEQ,
-    Signed: _SIGNED,
-    bytes: _BYTES,
+#: Encoding prefix of each exactly-typed scalar (``bool`` is its own
+#: type, so ``True`` and ``1`` encode apart).
+_SCALAR_PREFIX: dict[type, str] = {
+    str: "str:",
+    int: "int:",
+    bool: "bool:",
+    float: "float:",
+    type(None): "NoneType:",
 }
 
 
@@ -183,10 +205,7 @@ class SignatureAuthority:
         The payload is encoded as it is at call time, on every call, so
         a payload changed after signing no longer verifies.
         """
-        digest = hashlib.sha256()
-        digest.update(private.encode("utf-8"))
-        digest.update(canonical_bytes(payload))
-        return digest.hexdigest()
+        return _digest(private, _text(payload))
 
     def sign(self, owner: str, payload: Any, private: str | None = None) -> Signed:
         """Sign ``payload`` as ``owner``.
@@ -198,20 +217,29 @@ class SignatureAuthority:
         key = private if private is not None else self.private_key_of(owner)
         return Signed(payload=payload, signer=owner, signature=self.tag(key, payload))
 
+    def _check(self, signer: str, text: str, signature: str) -> bool:
+        """Whether ``signature`` is ``signer``'s registered tag of the
+        canonical ``text``."""
+        pair = self._by_owner.get(signer)
+        return pair is not None and _digest(pair.private, text) == signature
+
     def verify(self, signed: Signed) -> bool:
         """Check one signature layer against the signer's registered key."""
-        pair = self._by_owner.get(signed.signer)
-        if pair is None:
-            return False
-        return self.tag(pair.private, signed.payload) == signed.signature
+        return self._check(signed.signer, _text(signed.payload), signed.signature)
 
     def verify_oversigned(self, envelope: Signed) -> bool:
         """Check a FORTRESS doubly-signed response.
 
         The outer layer must be a valid proxy signature over an inner
-        :class:`Signed` carrying a valid server signature.
+        :class:`Signed` carrying a valid server signature.  The inner
+        payload is encoded once: its text is the server's signed text
+        and a piece of the proxy's.
         """
-        if not self.verify(envelope):
-            return False
         inner = envelope.payload
-        return isinstance(inner, Signed) and self.verify(inner)
+        if not isinstance(inner, Signed):
+            return False
+        payload_text = _text(inner.payload)
+        outer_text = _signed_text(payload_text, inner)
+        if not self._check(envelope.signer, outer_text, envelope.signature):
+            return False
+        return self._check(inner.signer, payload_text, inner.signature)

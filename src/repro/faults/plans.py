@@ -36,6 +36,7 @@ def crash_storm(
     if rate <= 0 or horizon <= start:
         raise ConfigurationError("need positive rate and horizon > start")
     plan: list[FaultEvent] = []
+    pool = list(targets)
     t = start
     while True:
         t += rng.expovariate(rate)
@@ -44,9 +45,7 @@ def crash_storm(
         down_for = None
         if rng.random() < outage_probability:
             down_for = rng.uniform(*outage_range)
-        plan.append(
-            CrashFault(time=t, target=rng.choice(list(targets)), down_for=down_for)
-        )
+        plan.append(CrashFault(time=t, target=rng.choice(pool), down_for=down_for))
     return plan
 
 

@@ -4,8 +4,6 @@ from .stats import (
     CensoredSummary,
     SummaryStats,
     Z_95,
-    bootstrap_ci,
-    geometric_mean,
     kaplan_meier,
     km_restricted_mean,
     summarize,
@@ -16,8 +14,6 @@ __all__ = [
     "CensoredSummary",
     "SummaryStats",
     "Z_95",
-    "bootstrap_ci",
-    "geometric_mean",
     "kaplan_meier",
     "km_restricted_mean",
     "summarize",

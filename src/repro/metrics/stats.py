@@ -1,9 +1,8 @@
 """Summary statistics and confidence intervals for simulation output.
 
 Monte-Carlo lifetime estimates are means of highly skewed (roughly
-geometric) samples, so both normal-approximation and bootstrap intervals
-are provided; benches report the normal CI, property tests cross-check
-with the bootstrap.
+geometric) samples; :func:`summarize` gives their normal-approximation
+confidence interval.
 
 Protocol-level lifetime runs are additionally *right-censored*: a run
 that survives the whole step budget reveals only that its lifetime is at
@@ -18,7 +17,6 @@ standard survival-analysis estimate of the same quantity.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -378,48 +376,3 @@ def _replication_spread(
     t = _T_95.get(dof, Z_95 if dof > 29 else _T_95[max(k for k in _T_95 if k <= dof)])
     half = t * math.sqrt(var / n)
     return max(mean - half, 0.0), min(mean + half, 1.0)
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile-bootstrap interval for the mean.
-
-    Parameters
-    ----------
-    values:
-        The sample.
-    confidence:
-        Two-sided coverage (0 < confidence < 1).
-    resamples:
-        Bootstrap iterations.
-    seed:
-        RNG seed for reproducibility.
-    """
-    if not values:
-        raise AnalysisError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    rng = random.Random(seed)
-    n = len(values)
-    means = sorted(
-        sum(rng.choice(values) for _ in range(n)) / n for _ in range(resamples)
-    )
-    tail = (1.0 - confidence) / 2.0
-    low_index = min(resamples - 1, max(0, int(math.floor(tail * resamples))))
-    high_index = min(
-        resamples - 1, max(0, int(math.ceil((1.0 - tail) * resamples)) - 1)
-    )
-    return means[low_index], means[high_index]
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for factor comparisons)."""
-    if not values:
-        raise AnalysisError("cannot take the geometric mean of an empty sample")
-    if any(v <= 0 for v in values):
-        raise AnalysisError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -171,13 +171,18 @@ class ProxyNode(RandomizedProcess):
 
     def _on_server_response(self, message: Message) -> None:
         signed = message.payload.get("signed")
-        if not isinstance(signed, Signed) or not self.authority.verify(signed):
-            return  # inauthentic; a compromised node cannot forge peers
+        if not isinstance(signed, Signed) or not isinstance(signed.payload, dict):
+            return
         body = signed.payload
         request_id = body.get("request_id")
+        # Look the request up before checking the signature: a response
+        # to a finished or unknown request is dropped either way, and
+        # verify() has no side effect, so it is not paid for.
         entry = self._pending.get(request_id)
         if entry is None or entry["done"]:
             return
+        if not self.authority.verify(signed):
+            return  # inauthentic; a compromised node cannot forge peers
         if self.server_replication == "smr":
             self._vote_smr(entry, request_id, signed, body)
         else:

@@ -95,6 +95,7 @@ class PBServer(RandomizedProcess):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.peers: list[str] = []  # all server names, in index order (incl. us)
+        self._others: list[str] = []  # peers without us, for multicasts
         self.view = 0
         self.seq = 0
         self.last_heartbeat = 0.0
@@ -118,6 +119,7 @@ class PBServer(RandomizedProcess):
         """Install the ordered server membership (index order) and start
         the heartbeat / failover machinery."""
         self.peers = list(peers)
+        self._others = [peer for peer in self.peers if peer != self.name]
         self._start_timers()
 
     @property
@@ -174,10 +176,7 @@ class PBServer(RandomizedProcess):
             # replicas which missed state updates (reboot, respawn) can
             # detect staleness and sync lazily — see ``_on_heartbeat``.
             self.network.multicast(
-                self.name,
-                [peer for peer in peers if peer != self.name],
-                HEARTBEAT,
-                {"view": self.view, "seq": self.seq},
+                self.name, self._others, HEARTBEAT, {"view": self.view, "seq": self.seq}
             )
         self._hb_next = self.sim.now + self.heartbeat_interval
         self.sim.schedule_fast(self.heartbeat_interval, self._heartbeat_tick)
@@ -200,10 +199,7 @@ class PBServer(RandomizedProcess):
         self.last_heartbeat = self.sim.now
         if self.is_primary:
             self.network.multicast(
-                self.name,
-                [peer for peer in self.peers if peer != self.name],
-                NEW_PRIMARY,
-                {"view": self.view},
+                self.name, self._others, NEW_PRIMARY, {"view": self.view}
             )
             self._ensure_heartbeat()
 
@@ -242,7 +238,7 @@ class PBServer(RandomizedProcess):
         self.response_cache[request_id] = response
         self.network.multicast(
             self.name,
-            [peer for peer in self.peers if peer != self.name],
+            self._others,
             STATE_UPDATE,
             {
                 "seq": self.seq,

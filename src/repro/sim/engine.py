@@ -19,7 +19,14 @@ here, so single-run campaign throughput is bounded by this file):
   call sites that never cancel (message delivery, probe pacing,
   respawns): no :class:`Event` handle is allocated at all;
 * :meth:`Simulator.run` pops the heap inline instead of peeking through
-  a helper and re-popping in :meth:`Simulator.step`;
+  a helper and re-popping in :meth:`Simulator.step`: it pops first and
+  pushes back the one entry that lies past ``until`` (or past the event
+  budget), so a live event costs one heap operation, not a peek and a
+  pop;
+* no per-event counter is kept for :attr:`Simulator.pending_events`: it
+  is the heap length less the cancelled entries still in the heap, a
+  count that changes only on cancel, on a cancelled pop and on
+  compaction;
 * mass cancellation compacts the heap in place once cancelled entries
   outnumber live ones, so abandoned timers cannot grow it without bound.
 """
@@ -48,7 +55,7 @@ class Event:
     entries after they fire, so a handle guards every operation with its
     sequence number: once the underlying entry has fired (or has been
     reused for a later event), :meth:`cancel` is a safe no-op — a late
-    ``cancel()`` can never corrupt the pending count or kill an
+    ``cancel()`` can never corrupt the cancelled count or kill an
     unrelated event that happens to occupy the recycled slot.
     """
 
@@ -107,7 +114,6 @@ class Simulator:
         "_heap",
         "_seq",
         "_events_executed",
-        "_pending",
         "_running",
         "_stopped",
         "_cancelled_in_heap",
@@ -120,7 +126,6 @@ class Simulator:
         self._heap: list[list] = []
         self._seq = 0
         self._events_executed = 0
-        self._pending = 0  # live (scheduled, non-cancelled) events
         self._running = False
         self._stopped = False
         self._cancelled_in_heap = 0  # dead entries awaiting pop/compaction
@@ -132,7 +137,6 @@ class Simulator:
     def _push(self, time: float, fn: Callable[..., None], args: tuple) -> list:
         """Allocate and push one heap entry."""
         seq = self._seq = self._seq + 1
-        self._pending += 1
         entry = [time, seq, fn, args]
         heapq.heappush(self._heap, entry)
         return entry
@@ -164,7 +168,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # _push, inlined: this is the single hottest call in the stack.
         seq = self._seq = self._seq + 1
-        self._pending += 1
         heapq.heappush(self._heap, [self.now + delay, seq, fn, args])
 
     def cancel(self, event: Event) -> None:
@@ -173,7 +176,6 @@ class Simulator:
 
     def _note_cancel(self) -> None:
         """Bookkeeping for one cancelled-in-heap entry (+ compaction)."""
-        self._pending -= 1
         cancelled = self._cancelled_in_heap = self._cancelled_in_heap + 1
         heap = self._heap
         if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap):
@@ -204,14 +206,13 @@ class Simulator:
         while heap:
             entry = heapq.heappop(heap)
             fn = entry[_FN]
-            if fn is None:  # cancelled; its cancel() adjusted the counter
+            if fn is None:  # cancelled: no longer in the heap
                 self._cancelled_in_heap -= 1
                 continue
             time = entry[_TIME]
             if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event heap yielded an event from the past")
             entry[_FN] = None
-            self._pending -= 1
             self.now = time
             fn(*entry[_ARGS])
             self._events_executed += 1
@@ -226,7 +227,9 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fired earlier, so periodic processes can be
-        resumed cleanly.
+        resumed cleanly -- unless ``max_events`` ran out while a live event
+        at or before ``until`` was still waiting: the clock never passes a
+        pending event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
@@ -235,33 +238,40 @@ class Simulator:
         horizon = float("inf") if until is None else until
         budget = -1 if max_events is None else max_events
         executed = 0
+        exhausted = False
         heap = self._heap
         pop = heapq.heappop
         try:
             while heap and not self._stopped:
-                entry = heap[0]
+                entry = pop(heap)
                 fn = entry[_FN]
-                if fn is None:  # cancelled: discard and retry
-                    pop(heap)
+                if fn is None:  # cancelled: discard
                     self._cancelled_in_heap -= 1
                     continue
-                if entry[_TIME] > horizon:
+                time = entry[_TIME]
+                if time > horizon or executed == budget:
+                    # The entry goes back unchanged: (time, seq) keys
+                    # are unique, so the pop order cannot change.  A
+                    # budget spent before ``until`` keeps the clock here.
+                    heapq.heappush(heap, entry)
+                    exhausted = time <= horizon
                     break
-                if executed == budget:
-                    return
-                pop(heap)
-                self.now = entry[_TIME]
+                self.now = time
                 # fn is cleared so a live Event handle's late cancel()
                 # sees a consumed entry (args may keep their reference:
                 # the entry itself is garbage after this pop).
                 entry[_FN] = None
-                self._pending -= 1
                 fn(*entry[_ARGS])
                 executed += 1
         finally:
             self._running = False
             self._events_executed += executed
-            if until is not None and self.now < until and not self._stopped:
+            if (
+                until is not None
+                and self.now < until
+                and not self._stopped
+                and not exhausted
+            ):
                 self.now = until
 
     def stop(self) -> None:
@@ -275,11 +285,11 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events.
 
-        O(1): a live counter maintained on schedule / cancel / pop
-        instead of a heap scan (protocol deployments keep thousands of
-        events in flight, and hot paths poll this property).
+        O(1) and without a per-event counter: every heap entry is live
+        except the cancelled ones still in it, which the kernel counts
+        (an entry that fired has left the heap).
         """
-        return self._pending
+        return len(self._heap) - self._cancelled_in_heap
 
     @property
     def events_executed(self) -> int:

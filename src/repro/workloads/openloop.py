@@ -88,7 +88,7 @@ class OpenLoopClient(SimProcess):
         """Begin the arrival process."""
         if not self._running:
             self._running = True
-            self.sim.schedule(self._next_gap(), self._arrive)
+            self.sim.schedule_fast(self._next_gap(), self._arrive)
 
     def stop_workload(self) -> None:
         """Stop generating arrivals (outstanding requests still resolve)."""
@@ -128,8 +128,8 @@ class OpenLoopClient(SimProcess):
         for target in self.targets:
             if self.network.knows(target):
                 self.network.send(Message(self.name, target, mtype, payload))
-        self.sim.schedule(self.request_timeout, self._expire, request_id)
-        self.sim.schedule(self._next_gap(), self._arrive)
+        self.sim.schedule_fast(self.request_timeout, self._expire, request_id)
+        self.sim.schedule_fast(self._next_gap(), self._arrive)
 
     def _expire(self, request_id: str) -> None:
         if self._outstanding.pop(request_id, None) is not None:
@@ -139,20 +139,33 @@ class OpenLoopClient(SimProcess):
     def handle_message(self, message: Message) -> None:
         if message.mtype == CLIENT_RESPONSE and self.mode == "fortress":
             envelope = message.payload.get("envelope")
-            if isinstance(envelope, Signed) and self.authority.verify_oversigned(
-                envelope
-            ):
-                inner = envelope.payload
-                self._complete(inner.payload["request_id"], inner.payload["response"])
+            if not isinstance(envelope, Signed):
+                return
+            body = self._outstanding_body(envelope.payload)
+            if body is not None and self.authority.verify_oversigned(envelope):
+                self._complete(body["request_id"], body["response"])
         elif message.mtype == SERVER_RESPONSE and self.mode in ("pb", "smr"):
             signed = message.payload.get("signed")
-            if not isinstance(signed, Signed) or not self.authority.verify(signed):
+            body = self._outstanding_body(signed)
+            if body is None or not self.authority.verify(signed):
                 return
-            body = signed.payload
             if self.mode == "pb":
                 self._complete(body["request_id"], body["response"])
             else:
                 self._vote(body)
+
+    def _outstanding_body(self, signed: object) -> Optional[dict]:
+        """The body ``signed`` carries if it answers an outstanding
+        request, else ``None``.
+
+        Checked before any signature: a response to a finished or
+        unknown request is dropped either way, and verification has no
+        side effect, so it is not paid for.
+        """
+        if not isinstance(signed, Signed) or not isinstance(signed.payload, dict):
+            return None
+        body = signed.payload
+        return body if body.get("request_id") in self._outstanding else None
 
     def _vote(self, body: Mapping) -> None:
         entry = self._outstanding.get(body["request_id"])

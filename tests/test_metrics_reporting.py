@@ -9,8 +9,6 @@ import pytest
 from repro.errors import AnalysisError, ConfigurationError
 from repro.mc.sweeps import Series, SweepPoint
 from repro.metrics.stats import (
-    bootstrap_ci,
-    geometric_mean,
     kaplan_meier,
     km_restricted_mean,
     summarize,
@@ -62,28 +60,6 @@ def test_overlaps():
     c = summarize([100.0, 101.0])
     assert a.overlaps(b)
     assert not a.overlaps(c)
-
-
-def test_bootstrap_ci_contains_mean_for_well_behaved_sample():
-    values = [float(v) for v in range(100)]
-    low, high = bootstrap_ci(values, seed=1)
-    assert low < 49.5 < high
-    assert high - low < 20
-
-
-def test_bootstrap_validation():
-    with pytest.raises(AnalysisError):
-        bootstrap_ci([])
-    with pytest.raises(AnalysisError):
-        bootstrap_ci([1.0], confidence=1.5)
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-    with pytest.raises(AnalysisError):
-        geometric_mean([])
-    with pytest.raises(AnalysisError):
-        geometric_mean([1.0, -1.0])
 
 
 # ----------------------------------------------------------------------

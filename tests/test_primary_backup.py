@@ -10,9 +10,11 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.randomization.keyspace import KeySpace
 from repro.replication.primary_backup import (
+    HEARTBEAT,
     PROBE_OP,
     REQUEST,
     SERVER_RESPONSE,
+    STATE_UPDATE,
     PBServer,
 )
 from repro.replication.state_machine import KVStoreService, SessionTokenService
@@ -196,3 +198,29 @@ def test_rebooted_backup_catches_up_via_sync():
     sim.run(until=1.0)
     assert servers[2].seq == 2
     assert servers[2].service.apply({"op": "get", "key": "b"})["value"] == 2
+
+
+class Listener(SimProcess):
+    """A non-server member: records the message types it receives."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name, respawn_delay=None)
+        self.received: list[str] = []
+
+    def handle_message(self, message: Message) -> None:
+        self.received.append(message.mtype)
+
+
+def test_reconfigured_membership_gets_primary_multicasts():
+    """The primary multicasts heartbeats and state updates to the
+    members of its latest ``configure`` call."""
+    sim, net, auth, servers, collector = build_tier()
+    listener = Listener(sim, "listener")
+    net.register(listener)
+    sim.run(until=0.5)
+    assert listener.received == []
+    servers[0].configure([s.name for s in servers] + ["listener"])
+    send_request(net, "r1", {"op": "put", "key": "a", "value": 1})
+    sim.run(until=1.0)
+    assert listener.received.count(HEARTBEAT) >= 9
+    assert listener.received.count(STATE_UPDATE) == 1

@@ -250,3 +250,68 @@ def test_smr_voting_mode_waits_for_f_plus_1():
     respond("replica-1", 1)
     sim.run(until=0.2)
     assert len(client.responses) == 1
+
+
+# ----------------------------------------------------------------------
+# Signature checks happen only for requests still pending
+# ----------------------------------------------------------------------
+def spy_verify(monkeypatch, authority):
+    """Record the signer of every ``authority.verify`` call."""
+    calls: list[str] = []
+    real = authority.verify
+
+    def verify(signed):
+        calls.append(signed.signer)
+        return real(signed)
+
+    monkeypatch.setattr(authority, "verify", verify)
+    return calls
+
+
+def test_late_duplicate_server_response_is_dropped_unverified(monkeypatch):
+    sim, net, auth, servers, proxies, client = build_fortress()
+    calls = spy_verify(monkeypatch, auth)
+    send_client_request(net, "r1", {"op": "put", "key": "a", "value": 1})
+    sim.run(until=0.5)
+    # Three servers answered; only the answer that completed the request
+    # was checked, the two that arrived after it were dropped unchecked.
+    assert len(client.responses) == 1
+    first = client.responses[0].payload
+    assert calls == [first.signer]
+    late = Message(first.signer, "proxy-0", "server_response", {"signed": first})
+    net.send(late)
+    net.send(Message("server-2", "proxy-0", "server_response", {"signed": first}))
+    sim.run(until=1.0)
+    assert calls == [first.signer]
+    assert len(client.responses) == 1 and proxies[0].responses_delivered == 1
+
+
+def test_response_to_unknown_request_is_dropped_unverified(monkeypatch):
+    sim, net, auth, servers, proxies, client = build_fortress()
+    calls = spy_verify(monkeypatch, auth)
+    body = {"request_id": "never-sent", "response": {"ok": True}, "index": 0}
+    signed = auth.sign("server-0", body)
+    net.send(Message("server-0", "proxy-0", "server_response", {"signed": signed}))
+    sim.run(until=0.5)
+    assert calls == [] and client.responses == []
+
+
+def test_forged_response_to_pending_request_is_still_verified(monkeypatch):
+    sim, net, auth, servers, proxies, client = build_fortress()
+    for server in servers:
+        server.stop()  # the request stays pending
+    calls = spy_verify(monkeypatch, auth)
+    send_client_request(net, "r1", {"op": "get", "key": "a"})
+    sim.run(until=0.01)
+    body = {"request_id": "r1", "response": {"ok": True, "value": "evil"}, "index": 0}
+    fake = Signed(payload=body, signer="server-0", signature="forged")
+    net.send(Message("server-0", "proxy-0", "server_response", {"signed": fake}))
+    sim.run(until=0.05)
+    assert calls == ["server-0"]
+    assert client.responses == [] and "r1" in proxies[0]._pending
+    authentic = auth.sign("server-0", dict(body, response={"ok": True}))
+    net.send(Message("server-0", "proxy-0", "server_response", {"signed": authentic}))
+    sim.run(until=0.1)
+    assert calls == ["server-0", "server-0"]
+    assert len(client.responses) == 1
+    assert client.responses[0].payload.payload["response"] == {"ok": True}

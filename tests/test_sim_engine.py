@@ -63,6 +63,18 @@ def test_max_events_bounds_execution():
     assert fired == [0, 1, 2]
 
 
+def test_exhausted_budget_does_not_move_clock_past_pending_events():
+    sim = Simulator()
+    fired = []
+    for i in range(3):
+        sim.schedule(0.0, fired.append, i)
+    sim.run(until=0.5, max_events=1)
+    assert fired == [0] and sim.now == 0.0 and sim.pending_events == 2
+    assert sim.step() and fired == [0, 1]
+    sim.run(until=0.5, max_events=1)
+    assert fired == [0, 1, 2] and sim.now == 0.5
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []

@@ -9,8 +9,12 @@ import pytest
 
 from repro.core.builders import build_system
 from repro.core.specs import s0, s1, s2
+from repro.crypto.signatures import Signed
 from repro.errors import ConfigurationError
+from repro.net.message import Message
+from repro.proxy.proxy import CLIENT_RESPONSE
 from repro.randomization.obfuscation import Scheme
+from repro.replication.primary_backup import SERVER_RESPONSE
 from repro.workloads.distributions import UniformKeys, ZipfKeys, kv_body_factory
 from repro.workloads.openloop import OpenLoopClient
 
@@ -174,3 +178,51 @@ def test_openloop_validation():
     )
     with pytest.raises(ValueError):
         client.latency_percentile(0.5)  # nothing completed yet
+
+
+def _spy(monkeypatch, authority, method):
+    calls: list[str] = []
+    real = getattr(authority, method)
+
+    def spy(signed):
+        calls.append(signed.signer)
+        return real(signed)
+
+    monkeypatch.setattr(authority, method, spy)
+    return calls
+
+
+def test_openloop_checks_signatures_only_for_outstanding_requests(monkeypatch):
+    """Every proxy (fortress) or server (pb) answers each request; the
+    client checks the answer that completes it and drops the rest
+    unchecked.  A forged answer to an outstanding request is still
+    checked and rejected."""
+    for spec, mode, targets, method in (
+        (s2, "fortress", lambda d: d.proxy_names, "verify_oversigned"),
+        (s1, "pb", lambda d: d.server_names, "verify"),
+    ):
+        deployed, client = make_openloop(
+            spec(Scheme.PO, alpha=1e-4, entropy_bits=8), mode, targets
+        )
+        calls = _spy(monkeypatch, deployed.authority, method)
+        deployed.start()
+        client.start()
+        deployed.sim.run(until=2.0)
+        completed = client.responses_ok + client.responses_corrupted
+        assert completed > 20 and len(targets(deployed)) > 1, mode
+        assert len(calls) == completed, mode
+
+        client.stop_workload()
+        deployed.sim.run(until=4.0)
+        outstanding = "forged-r1"
+        client._outstanding[outstanding] = {"sent_at": 4.0, "votes": {}}
+        body = {"request_id": outstanding, "response": {"ok": True}, "index": 0}
+        forged = Signed(body, targets(deployed)[0], "forged")
+        if mode == "fortress":
+            mtype, payload = CLIENT_RESPONSE, {"envelope": Signed(forged, "x", "y")}
+        else:
+            mtype, payload = SERVER_RESPONSE, {"signed": forged}
+        before = len(calls)
+        client.handle_message(Message(forged.signer, client.name, mtype, payload))
+        assert len(calls) == before + 1, mode
+        assert outstanding in client._outstanding
