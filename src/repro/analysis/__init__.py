@@ -1,96 +1,52 @@
 """Analytic models: Markov chains, lifetimes, conversions, orderings."""
 
-from .conversion import (
-    alpha_from_omega,
-    chi_from_entropy,
-    omega_from_alpha,
-    so_exhaustion_step,
-    so_hazard,
-    so_hazard_sequence,
-    so_survival,
-)
-from .lifetimes import (
-    el_from_per_step,
-    el_s0_po,
-    el_s0_so,
-    el_s1_po,
-    el_s1_so,
-    el_s2_po,
-    expected_lifetime,
-    per_step_compromise,
-    per_step_compromise_s0_po,
-    per_step_compromise_s1_po,
-    per_step_compromise_s2_po,
-    per_step_compromise_s2_smr_po,
-    el_s2_smr_po,
-    survival_curve,
-)
-from .markov import AbsorbingMarkovChain, AbsorptionResult, geometric_chain
-from .orderings import (
-    DEFAULT_ALPHAS,
-    TrendReport,
-    kappa_crossover_s2_vs_s0,
-    kappa_crossover_s2_vs_s1,
-    lifetimes_at,
-    summary_chain_holds,
-    verify_paper_trends,
-)
-from .period import (
-    ABSORB_PROXIES,
-    ABSORB_SERVER,
-    build_s2_po_period_chain,
-    compromise_route_split,
-    el_s2_po_with_period,
-)
-from .s2so import el_s2_so_numeric, s2_so_survival
-from .sensitivity import (
-    elasticity,
-    indirect_route_share,
-    s2_po_alpha_elasticity,
-    s2_po_kappa_elasticity,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "alpha_from_omega",
-    "chi_from_entropy",
-    "omega_from_alpha",
-    "so_exhaustion_step",
-    "so_hazard",
-    "so_hazard_sequence",
-    "so_survival",
-    "el_from_per_step",
-    "el_s0_po",
-    "el_s0_so",
-    "el_s1_po",
-    "el_s1_so",
-    "el_s2_po",
-    "expected_lifetime",
-    "per_step_compromise",
-    "per_step_compromise_s0_po",
-    "per_step_compromise_s1_po",
-    "per_step_compromise_s2_po",
-    "per_step_compromise_s2_smr_po",
-    "el_s2_smr_po",
-    "survival_curve",
-    "AbsorbingMarkovChain",
-    "AbsorptionResult",
-    "geometric_chain",
-    "DEFAULT_ALPHAS",
-    "TrendReport",
-    "kappa_crossover_s2_vs_s0",
-    "kappa_crossover_s2_vs_s1",
-    "lifetimes_at",
-    "summary_chain_holds",
-    "verify_paper_trends",
-    "ABSORB_PROXIES",
-    "ABSORB_SERVER",
-    "build_s2_po_period_chain",
-    "compromise_route_split",
-    "el_s2_po_with_period",
-    "el_s2_so_numeric",
-    "s2_so_survival",
-    "elasticity",
-    "indirect_route_share",
-    "s2_po_alpha_elasticity",
-    "s2_po_kappa_elasticity",
-]
+_EXPORTS = {
+    "alpha_from_omega": "conversion",
+    "chi_from_entropy": "conversion",
+    "omega_from_alpha": "conversion",
+    "so_exhaustion_step": "conversion",
+    "so_hazard": "conversion",
+    "so_hazard_sequence": "conversion",
+    "so_survival": "conversion",
+    "el_from_per_step": "lifetimes",
+    "el_s0_po": "lifetimes",
+    "el_s0_so": "lifetimes",
+    "el_s1_po": "lifetimes",
+    "el_s1_so": "lifetimes",
+    "el_s2_po": "lifetimes",
+    "expected_lifetime": "lifetimes",
+    "per_step_compromise": "lifetimes",
+    "per_step_compromise_s0_po": "lifetimes",
+    "per_step_compromise_s1_po": "lifetimes",
+    "per_step_compromise_s2_po": "lifetimes",
+    "per_step_compromise_s2_smr_po": "lifetimes",
+    "el_s2_smr_po": "lifetimes",
+    "survival_curve": "lifetimes",
+    "AbsorbingMarkovChain": "markov",
+    "AbsorptionResult": "markov",
+    "geometric_chain": "markov",
+    "DEFAULT_ALPHAS": "orderings",
+    "TrendReport": "orderings",
+    "kappa_crossover_s2_vs_s0": "orderings",
+    "kappa_crossover_s2_vs_s1": "orderings",
+    "lifetimes_at": "orderings",
+    "summary_chain_holds": "orderings",
+    "verify_paper_trends": "orderings",
+    "ABSORB_PROXIES": "period",
+    "ABSORB_SERVER": "period",
+    "build_s2_po_period_chain": "period",
+    "compromise_route_split": "period",
+    "el_s2_po_with_period": "period",
+    "el_s2_so_numeric": "s2so",
+    "s2_so_survival": "s2so",
+    "elasticity": "sensitivity",
+    "indirect_route_share": "sensitivity",
+    "s2_po_alpha_elasticity": "sensitivity",
+    "s2_po_kappa_elasticity": "sensitivity",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,18 +1,17 @@
 """Attack substrate: key tracking, probe streams, campaign orchestration."""
 
-from .adaptive import AdaptiveIndirectProber
-from .agent import AttackerProcess
-from .driver import IndirectProber, ProbeDriver
-from .keytracker import KeyGuessTracker
-from .probe import connection_probe, is_intrusion_ack, request_probe
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdaptiveIndirectProber",
-    "AttackerProcess",
-    "IndirectProber",
-    "ProbeDriver",
-    "KeyGuessTracker",
-    "connection_probe",
-    "is_intrusion_ack",
-    "request_probe",
-]
+_EXPORTS = {
+    "AttackerProcess": "agent",
+    "IndirectProber": "driver",
+    "ProbeDriver": "driver",
+    "KeyGuessTracker": "keytracker",
+    "connection_probe": "probe",
+    "is_intrusion_ack": "probe",
+    "request_probe": "probe",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

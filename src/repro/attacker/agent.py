@@ -25,7 +25,6 @@ import random
 from typing import Optional
 
 from ..errors import ConfigurationError
-from ..net.message import Message
 from ..net.network import Network
 from ..net.transport import Connection
 from ..randomization.keyspace import KeySpace
@@ -103,7 +102,6 @@ class AttackerProcess(SimProcess):
         #: host, never to one picked by object address).
         self._launchpad_hosts: dict = {}
         self._watched_proxies: set = set()  # proxies with our state listener
-        self._feedback_handlers: list = []
         self._fast_forward = False
         self._ff_check_pending = False
         self.fast_forward_arms = 0
@@ -293,9 +291,8 @@ class AttackerProcess(SimProcess):
 
         A probe stream dies permanently when its pool drains (every key
         tried, the winning probes lost to downtime) — nothing restarts
-        it.  Once *every* stream is dead, no launch pad is live and no
-        adaptive feedback handler could mount a new attack, the run's
-        outcome is decided: the remaining simulated epochs are pure
+        it.  Once *every* stream is dead and no launch pad is live, the
+        run's outcome is decided: the remaining simulated epochs are pure
         timer churn (heartbeats, refreshes) that cannot change the
         compromise verdict.  With fast-forward enabled the attacker then
         stops the simulator after a one-period grace window (long enough
@@ -332,7 +329,6 @@ class AttackerProcess(SimProcess):
             or any(p.active for p in self._indirect)
             or bool(self._launchpad_drivers)
             or bool(self._launchpad_hosts)
-            or bool(self._feedback_handlers)
         )
 
     def _on_stream_dead(self) -> None:
@@ -399,18 +395,6 @@ class AttackerProcess(SimProcess):
         only reach the base no-op handler.
         """
         self._by_connection.pop(connection.conn_id, None)
-
-    def register_feedback_handler(self, handler) -> None:
-        """Route client-path feedback (errors/responses) to ``handler``
-        — used by adaptive strategies that react to proxy behaviour."""
-        self._feedback_handlers.append(handler)
-
-    def handle_message(self, message: Message) -> None:
-        """Client-path feedback.  Plain pacing needs no action (a guess
-        is eliminated the moment it is issued); adaptive strategies
-        subscribe via :meth:`register_feedback_handler`."""
-        for handler in list(self._feedback_handlers):
-            handler(message)
 
     # ------------------------------------------------------------------
     # Compromise observation and launch-pad lifecycle

@@ -9,14 +9,17 @@ threaded through :mod:`repro.core.experiment` and
 entirely while staying bit-identical with recomputation.
 """
 
-from .keys import ENGINE_VERSION, cache_key, canonical_json, jsonable
-from .store import ResultCache, atomic_write_text
+from .._exports import lazy_exports
 
-__all__ = [
-    "ENGINE_VERSION",
-    "ResultCache",
-    "atomic_write_text",
-    "cache_key",
-    "canonical_json",
-    "jsonable",
-]
+_EXPORTS = {
+    "ENGINE_VERSION": "keys",
+    "ResultCache": "store",
+    "atomic_write_text": "store",
+    "cache_key": "keys",
+    "canonical_json": "keys",
+    "jsonable": "keys",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -31,7 +31,7 @@ import json
 import os
 import pathlib
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cache import ResultCache, atomic_write_text
 from .cache.keys import ENGINE_VERSION
@@ -56,8 +56,12 @@ from .reporting.tables import (
     render_table,
 )
 from .scenarios import all_scenarios, get_scenario
-from .supervision import ChaosSpec, SupervisionPolicy
-from .telemetry import ProgressReporter, disable_tracing, enable_tracing
+from .supervision.policy import SupervisionPolicy
+from .telemetry.spans import disable_tracing, enable_tracing
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .supervision.chaos import ChaosSpec
+    from .telemetry.progress import ProgressReporter
 
 #: Default result-cache root for campaign commands (under ``$HOME``).
 DEFAULT_CACHE_DIR = pathlib.Path("~/.cache/repro/campaigns")
@@ -186,7 +190,11 @@ def _resolve_supervision(
 
     Any fault-tolerance flag turns supervision on.
     """
-    chaos = ChaosSpec.parse(args.chaos) if args.chaos is not None else None
+    chaos = None
+    if args.chaos is not None:
+        from .supervision.chaos import ChaosSpec
+
+        chaos = ChaosSpec.parse(args.chaos)
     wants = (
         args.supervise
         or args.retries is not None
@@ -246,7 +254,11 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 def _telemetry_progress(
     args: argparse.Namespace, label: str
 ) -> Optional[ProgressReporter]:
-    return ProgressReporter(label=label) if args.progress else None
+    if not args.progress:
+        return None
+    from .telemetry.progress import ProgressReporter
+
+    return ProgressReporter(label=label)
 
 
 def _emit_metrics(result: CampaignResult, args: argparse.Namespace):

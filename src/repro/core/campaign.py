@@ -534,4 +534,9 @@ def run_scenario_campaign(scenario: "ScenarioSpec", *args, **options) -> Campaig
     worker/batch-invariant per-seed derivation as a plain campaign.
     Positional and keyword arguments are those of :func:`run_campaign`.
     """
+    # Load the scenario run path here, before a pool forks, so that no
+    # worker of any pool imports it again.
+    from ..attacker import strategies  # noqa: F401
+    from ..scenarios import runtime  # noqa: F401
+
     return run_campaign(scenario.grid(), *args, scenario=scenario, **options)

@@ -1,12 +1,15 @@
 """Simulated crypto: key pairs, signatures, over-signing envelopes."""
 
-from .keys import KeyPair, generate_keypair
-from .signatures import Signed, SignatureAuthority, canonical_bytes
+from .._exports import lazy_exports
 
-__all__ = [
-    "KeyPair",
-    "generate_keypair",
-    "Signed",
-    "SignatureAuthority",
-    "canonical_bytes",
-]
+_EXPORTS = {
+    "KeyPair": "keys",
+    "generate_keypair": "keys",
+    "Signed": "signatures",
+    "SignatureAuthority": "signatures",
+    "canonical_bytes": "signatures",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,22 +1,19 @@
 """Fault injection: timed crash/partition/loss plans for torture tests."""
 
-from .injector import (
-    CrashFault,
-    FaultEvent,
-    FaultInjector,
-    MessageLossFault,
-    PartitionFault,
-)
-from .plans import crash_storm, lossy_window, partition_schedule, rolling_outages
+from .._exports import lazy_exports
 
-__all__ = [
-    "CrashFault",
-    "FaultEvent",
-    "FaultInjector",
-    "MessageLossFault",
-    "PartitionFault",
-    "crash_storm",
-    "lossy_window",
-    "partition_schedule",
-    "rolling_outages",
-]
+_EXPORTS = {
+    "CrashFault": "injector",
+    "FaultEvent": "injector",
+    "FaultInjector": "injector",
+    "MessageLossFault": "injector",
+    "PartitionFault": "injector",
+    "crash_storm": "plans",
+    "lossy_window": "plans",
+    "partition_schedule": "plans",
+    "rolling_outages": "plans",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

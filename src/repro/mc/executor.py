@@ -38,8 +38,7 @@ import queue
 import time
 import warnings
 from collections import deque
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
@@ -322,8 +321,10 @@ TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
 #: Transport-level failures (a pool that will not start or has broken):
-#: never the task's own fault, so never charged against it.
-_TRANSPORT_ERRORS = (OSError, PermissionError, BrokenProcessPool)
+#: never the task's own fault, so never charged against it.  A dead
+#: worker surfaces as ``BrokenProcessPool``; its base class is caught so
+#: that this module never imports ``concurrent.futures.process``.
+_TRANSPORT_ERRORS = (OSError, PermissionError, BrokenExecutor)
 
 #: Operational narration (transport strikes, recycles) goes to the
 #: logger; caller-facing contract warnings (serial fallback, quarantine,

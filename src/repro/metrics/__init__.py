@@ -1,21 +1,17 @@
 """Statistics helpers for simulation output."""
 
-from .stats import (
-    CensoredSummary,
-    SummaryStats,
-    Z_95,
-    kaplan_meier,
-    km_restricted_mean,
-    summarize,
-    summarize_censored,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CensoredSummary",
-    "SummaryStats",
-    "Z_95",
-    "kaplan_meier",
-    "km_restricted_mean",
-    "summarize",
-    "summarize_censored",
-]
+_EXPORTS = {
+    "CensoredSummary": "stats",
+    "SummaryStats": "stats",
+    "Z_95": "stats",
+    "kaplan_meier": "stats",
+    "km_restricted_mean": "stats",
+    "summarize": "stats",
+    "summarize_censored": "stats",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

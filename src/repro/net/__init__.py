@@ -1,16 +1,17 @@
 """Network substrate: datagrams, latency models, crash-observable connections."""
 
-from .latency import ExponentialLatency, FixedLatency, LatencyModel, UniformLatency
-from .message import Message
-from .network import Network
-from .transport import Connection
+from .._exports import lazy_exports
 
-__all__ = [
-    "ExponentialLatency",
-    "FixedLatency",
-    "LatencyModel",
-    "UniformLatency",
-    "Message",
-    "Network",
-    "Connection",
-]
+_EXPORTS = {
+    "ExponentialLatency": "latency",
+    "FixedLatency": "latency",
+    "LatencyModel": "latency",
+    "UniformLatency": "latency",
+    "Message": "message",
+    "Network": "network",
+    "Connection": "transport",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,17 +1,19 @@
 """Proxy tier: forwarding, over-signing, probe detection, name server."""
 
-from .detection import DetectionLog, DetectionPolicy, kappa_for_policy
-from .nameserver import Directory, NameServer
-from .proxy import CLIENT_ERROR, CLIENT_REQUEST, CLIENT_RESPONSE, ProxyNode
+from .._exports import lazy_exports
 
-__all__ = [
-    "DetectionLog",
-    "DetectionPolicy",
-    "kappa_for_policy",
-    "Directory",
-    "NameServer",
-    "CLIENT_ERROR",
-    "CLIENT_REQUEST",
-    "CLIENT_RESPONSE",
-    "ProxyNode",
-]
+_EXPORTS = {
+    "DetectionLog": "detection",
+    "DetectionPolicy": "detection",
+    "kappa_for_policy": "detection",
+    "Directory": "nameserver",
+    "NameServer": "nameserver",
+    "CLIENT_ERROR": "proxy",
+    "CLIENT_REQUEST": "proxy",
+    "CLIENT_RESPONSE": "proxy",
+    "ProxyNode": "proxy",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

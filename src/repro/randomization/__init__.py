@@ -1,17 +1,18 @@
 """Randomization substrate: key spaces, address spaces, PO/SO scheduling."""
 
-from .keyspace import PAX_32BIT_ENTROPY, KeySpace
-from .layout import AddressSpace, ProbeOutcome
-from .node import RandomizedProcess
-from .obfuscation import KeyGroup, ObfuscationManager, Scheme
+from .._exports import lazy_exports
 
-__all__ = [
-    "PAX_32BIT_ENTROPY",
-    "KeySpace",
-    "AddressSpace",
-    "ProbeOutcome",
-    "RandomizedProcess",
-    "KeyGroup",
-    "ObfuscationManager",
-    "Scheme",
-]
+_EXPORTS = {
+    "PAX_32BIT_ENTROPY": "keyspace",
+    "KeySpace": "keyspace",
+    "AddressSpace": "layout",
+    "ProbeOutcome": "layout",
+    "RandomizedProcess": "node",
+    "KeyGroup": "obfuscation",
+    "ObfuscationManager": "obfuscation",
+    "Scheme": "obfuscation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

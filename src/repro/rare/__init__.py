@@ -30,30 +30,22 @@ estimator="splitting", splitting=config).rare``, or for a whole grid
 with :func:`~repro.core.campaign.run_campaign`.
 """
 
-from .fork import Trajectory, fork_trajectory, reseed_for_split
-from .levels import (
-    LevelProbe,
-    attacker_progress,
-    choose_levels,
-    dedupe_levels,
-    structural_levels,
-)
-from .splitting import (
-    RareEventEstimate,
-    SplittingConfig,
-    SplittingTask,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "LevelProbe",
-    "RareEventEstimate",
-    "SplittingConfig",
-    "SplittingTask",
-    "Trajectory",
-    "attacker_progress",
-    "choose_levels",
-    "dedupe_levels",
-    "fork_trajectory",
-    "reseed_for_split",
-    "structural_levels",
-]
+_EXPORTS = {
+    "LevelProbe": "levels",
+    "RareEventEstimate": "splitting",
+    "SplittingConfig": "splitting",
+    "SplittingTask": "splitting",
+    "Trajectory": "fork",
+    "attacker_progress": "levels",
+    "choose_levels": "levels",
+    "dedupe_levels": "levels",
+    "fork_trajectory": "fork",
+    "reseed_for_split": "fork",
+    "structural_levels": "levels",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

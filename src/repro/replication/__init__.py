@@ -1,26 +1,22 @@
 """Replication substrates: primary-backup, SMR ordering, services."""
 
-from .order_protocol import OrderingState, Slot, SlotPhase, quorum_size
-from .primary_backup import PROBE_OP, PBServer
-from .smr import SMRReplica, request_digest
-from .state_machine import (
-    CounterService,
-    KVStoreService,
-    Service,
-    SessionTokenService,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "OrderingState",
-    "Slot",
-    "SlotPhase",
-    "quorum_size",
-    "PROBE_OP",
-    "PBServer",
-    "SMRReplica",
-    "request_digest",
-    "CounterService",
-    "KVStoreService",
-    "Service",
-    "SessionTokenService",
-]
+_EXPORTS = {
+    "OrderingState": "order_protocol",
+    "Slot": "order_protocol",
+    "SlotPhase": "order_protocol",
+    "quorum_size": "order_protocol",
+    "PROBE_OP": "primary_backup",
+    "PBServer": "primary_backup",
+    "SMRReplica": "smr",
+    "request_digest": "smr",
+    "CounterService": "state_machine",
+    "KVStoreService": "state_machine",
+    "Service": "state_machine",
+    "SessionTokenService": "state_machine",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

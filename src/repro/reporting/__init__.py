@@ -1,29 +1,20 @@
 """Rendering of result tables, figure series and perf-trend reports."""
 
-from .tables import (
-    format_quantity,
-    render_failure_manifest,
-    render_series_table,
-    render_table,
-)
-from .trends import (
-    collect_trends,
-    find_regressions,
-    load_baseline,
-    render_trend_table,
-    trend_report,
-    write_baseline,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "collect_trends",
-    "find_regressions",
-    "format_quantity",
-    "load_baseline",
-    "render_failure_manifest",
-    "render_series_table",
-    "render_table",
-    "render_trend_table",
-    "trend_report",
-    "write_baseline",
-]
+_EXPORTS = {
+    "collect_trends": "trends",
+    "find_regressions": "trends",
+    "format_quantity": "tables",
+    "load_baseline": "trends",
+    "render_failure_manifest": "tables",
+    "render_series_table": "tables",
+    "render_table": "tables",
+    "render_trend_table": "trends",
+    "trend_report": "trends",
+    "write_baseline": "trends",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

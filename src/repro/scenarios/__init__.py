@@ -8,33 +8,24 @@ name (``python -m repro scenario list|show|run``).  See
 :mod:`repro.scenarios.runtime` for deployment.
 """
 
-from .registry import (
-    all_scenarios,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
-from .runtime import (
-    build_fault_plan,
-    deploy_scenario,
-    install_workload,
-    mount_adversary,
-)
-from .spec import AdversarySpec, FaultPlanSpec, ScenarioSpec, WorkloadSpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdversarySpec",
-    "FaultPlanSpec",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "all_scenarios",
-    "build_fault_plan",
-    "deploy_scenario",
-    "get_scenario",
-    "install_workload",
-    "mount_adversary",
-    "register_scenario",
-    "scenario_names",
-    "unregister_scenario",
-]
+_EXPORTS = {
+    "AdversarySpec": "spec",
+    "FaultPlanSpec": "spec",
+    "ScenarioSpec": "spec",
+    "WorkloadSpec": "spec",
+    "all_scenarios": "registry",
+    "build_fault_plan": "runtime",
+    "deploy_scenario": "runtime",
+    "get_scenario": "registry",
+    "install_workload": "runtime",
+    "mount_adversary": "runtime",
+    "register_scenario": "registry",
+    "scenario_names": "registry",
+    "unregister_scenario": "registry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

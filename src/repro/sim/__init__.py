@@ -1,18 +1,19 @@
 """Discrete-event simulation kernel: clock, events, processes, RNG
 streams, event tracing."""
 
-from .engine import Event, Simulator
-from .process import ProcessState, SimProcess
-from .rng import RngRegistry, derive_seed
-from .trace import TraceEvent, TraceRecorder
+from .._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "ProcessState",
-    "SimProcess",
-    "RngRegistry",
-    "derive_seed",
-    "TraceEvent",
-    "TraceRecorder",
-]
+_EXPORTS = {
+    "Event": "engine",
+    "Simulator": "engine",
+    "ProcessState": "process",
+    "SimProcess": "process",
+    "RngRegistry": "rng",
+    "derive_seed": "rng",
+    "TraceEvent": "trace",
+    "TraceRecorder": "trace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,27 +14,22 @@ recoverable fault pattern folds to bit-identical estimates vs. the
 fault-free run.
 """
 
-from .chaos import ChaosBackend, ChaosCrash, ChaosSpec, chaos_events
-from .policy import (
-    FailureManifest,
-    Quarantined,
-    SupervisionPolicy,
-    TaskFailure,
-    retry_delay,
-    task_seed_of,
-)
-from .signals import deliver_sigterm_as_interrupt
+from .._exports import lazy_exports
 
-__all__ = [
-    "ChaosBackend",
-    "ChaosCrash",
-    "ChaosSpec",
-    "FailureManifest",
-    "Quarantined",
-    "SupervisionPolicy",
-    "TaskFailure",
-    "chaos_events",
-    "deliver_sigterm_as_interrupt",
-    "retry_delay",
-    "task_seed_of",
-]
+_EXPORTS = {
+    "ChaosBackend": "chaos",
+    "ChaosCrash": "chaos",
+    "ChaosSpec": "chaos",
+    "FailureManifest": "policy",
+    "Quarantined": "policy",
+    "SupervisionPolicy": "policy",
+    "TaskFailure": "policy",
+    "chaos_events": "chaos",
+    "deliver_sigterm_as_interrupt": "signals",
+    "retry_delay": "policy",
+    "task_seed_of": "policy",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

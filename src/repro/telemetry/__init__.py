@@ -15,24 +15,20 @@ fan-out-invariant (per-run samples merge by addition through the
 existing executor result path).
 """
 
-from .progress import ProgressReporter
-from .registry import MetricsSnapshot, RunMetrics, fold_run_metrics
-from .spans import (
-    TraceSink,
-    disable_tracing,
-    enable_tracing,
-    span,
-    tracing_enabled,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "MetricsSnapshot",
-    "ProgressReporter",
-    "RunMetrics",
-    "TraceSink",
-    "disable_tracing",
-    "enable_tracing",
-    "fold_run_metrics",
-    "span",
-    "tracing_enabled",
-]
+_EXPORTS = {
+    "MetricsSnapshot": "registry",
+    "ProgressReporter": "progress",
+    "RunMetrics": "registry",
+    "TraceSink": "spans",
+    "disable_tracing": "spans",
+    "enable_tracing": "spans",
+    "fold_run_metrics": "registry",
+    "span": "spans",
+    "tracing_enabled": "spans",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,12 +1,15 @@
 """Workload generation: key distributions, open-loop Poisson clients."""
 
-from .distributions import KeyDistribution, UniformKeys, ZipfKeys, kv_body_factory
-from .openloop import OpenLoopClient
+from .._exports import lazy_exports
 
-__all__ = [
-    "KeyDistribution",
-    "UniformKeys",
-    "ZipfKeys",
-    "kv_body_factory",
-    "OpenLoopClient",
-]
+_EXPORTS = {
+    "KeyDistribution": "distributions",
+    "UniformKeys": "distributions",
+    "ZipfKeys": "distributions",
+    "kv_body_factory": "distributions",
+    "OpenLoopClient": "openloop",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

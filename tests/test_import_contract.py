@@ -7,12 +7,15 @@ and run without numpy; only :mod:`repro.analysis` and the
 * the pure-Python :func:`~repro.mc.executor.derive_point_seed` equals
   ``numpy.random.SeedSequence`` on every input, and so does each seed of
   a :func:`~repro.mc.executor.derive_point_seeds` block;
-* the lazy (PEP 562) exports of :mod:`repro`, :mod:`repro.core` and
-  :mod:`repro.mc` resolve to the defining modules' objects;
+* the lazy (PEP 562) exports of :mod:`repro` and of every subpackage
+  resolve to the defining modules' objects;
 * a process with ``numpy`` blocked runs fixed-count, precision,
   ``estimator="auto"`` and CLI campaigns to records equal to an
   ordinary process's, and an ordinary process never loads numpy on
-  that path — neither the orchestrator nor its pool workers.
+  that path — neither the orchestrator nor its pool workers;
+* preparing a campaign loads none of the modules a campaign does not
+  use before its pool starts, and a pool worker imports no ``repro``
+  module while it runs campaign tasks.
 """
 
 from __future__ import annotations
@@ -30,13 +33,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
-import repro.core
-import repro.mc
 from repro.errors import ConfigurationError
 from repro.mc.executor import derive_point_seed, derive_point_seeds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: ``repro`` and every subpackage whose init serves lazy exports.
+LAZY_PACKAGES = ["repro"] + sorted(
+    f"repro.{init.parent.name}"
+    for init in (SRC / "repro").glob("*/__init__.py")
+    if "_EXPORTS" in init.read_text()
+)
+
+
+def _fresh_python(
+    code: str, *args: str, flags: tuple = ()
+) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter on ``src/``; it must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    completed = subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed
 
 seed_words = st.integers(min_value=0, max_value=2**128 - 1)
 
@@ -94,10 +119,9 @@ def test_point_seed_rejects_negative_components(components, position, negative):
 # ----------------------------------------------------------------------
 # Lazy package exports
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "package", [repro, repro.core, repro.mc], ids=lambda p: p.__name__
-)
-def test_lazy_exports_resolve_to_the_defining_module(package):
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_lazy_exports_resolve_to_the_defining_module(package_name):
+    package = importlib.import_module(package_name)
     for name, module_name in package._EXPORTS.items():
         module = importlib.import_module(f"{package.__name__}.{module_name}")
         assert getattr(package, name) is getattr(module, name), name
@@ -109,6 +133,122 @@ def test_lazy_exports_resolve_to_the_defining_module(package):
     with pytest.raises(AttributeError):
         package.no_such_export
     assert not hasattr(package, "no_such_export")
+
+
+def test_scenario_registry_does_not_need_an_eager_import():
+    names = _fresh_python(
+        """
+        from repro.scenarios import all_scenarios
+
+        print(" ".join(spec.name for spec in all_scenarios()))
+        """
+    ).stdout.split()
+    assert names == [
+        "paper-baseline",
+        "crash-storm-under-attack",
+        "rolling-outages",
+        "partitioned-attacker",
+        "lossy-wan",
+        "degraded-timing",
+        "stealth-prober",
+        "coordinated-attacker",
+        "combined-stress",
+    ]
+
+
+# ----------------------------------------------------------------------
+# Start-up: what preparing a campaign loads, and what a worker imports
+# ----------------------------------------------------------------------
+#: Modules no campaign needs before its pool starts.
+NOT_AT_START_UP = (
+    "repro.supervision.chaos",
+    "repro.sim.trace",
+    "repro.telemetry.progress",
+    "repro.rare",
+    "repro.analysis",
+    "repro.reporting",
+    "repro.mc.pool",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "numpy",
+)
+
+
+def test_preparing_a_campaign_loads_only_what_it_uses():
+    loaded = _fresh_python(
+        """
+        import sys
+
+        import repro.cache
+        import repro.core.campaign
+        from repro.scenarios import get_scenario
+
+        get_scenario("combined-stress").grid()
+        print(" ".join(sys.modules))
+        """
+    ).stdout.split()
+    assert [name for name in NOT_AT_START_UP if name in loaded] == []
+
+
+#: Runs a tiny scenario campaign and a tiny plain campaign on two
+#: workers; a meta-path hook installed before any ``repro`` import (and
+#: inherited by the forked workers) appends each ``repro`` module a
+#: worker imports to the file ``argv[1]``.
+WORKER_IMPORTS = """
+    import multiprocessing
+    import os
+    import sys
+
+    LOG = sys.argv[1]
+    ORCHESTRATOR = os.getpid()
+
+
+    class WorkerImportLog:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            if os.getpid() != ORCHESTRATOR and name.split(".")[0] == "repro":
+                with open(LOG, "a") as log:
+                    log.write(name + "\\n")
+            return None  # the regular finders import it
+
+
+    sys.meta_path.insert(0, WorkerImportLog)
+
+    from repro.core.campaign import run_campaign, run_scenario_campaign
+    from repro.core.specs import s1, s2
+    from repro.randomization.obfuscation import Scheme
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario("combined-stress").replace(
+        name="worker-imports", entropy_bits=6, alphas=(0.3,)
+    )
+    run_scenario_campaign(
+        scenario, trials=4, max_steps=10, seed=1, workers=2, batch_size=2
+    )
+    assert "repro.mc.pool" in sys.modules  # its two tasks ran on a pool
+    run_campaign(
+        [s1(Scheme.SO, alpha=0.2, entropy_bits=6), s2(Scheme.PO, entropy_bits=6)],
+        trials=4,
+        max_steps=10,
+        seed=1,
+        workers=2,
+    )
+    assert multiprocessing.active_children() == []
+    """
+
+
+def test_pool_workers_import_nothing(tmp_path):
+    """The orchestrator loads the whole run path before its pool forks.
+
+    The child runs in dev mode with ``ResourceWarning`` and a serial
+    fallback's ``RuntimeWarning`` as errors, so a pipe left open, a
+    worker never joined or tasks run in-process fail this test too.
+    """
+    log = tmp_path / "worker_imports.txt"
+    flags = ("-X", "dev", "-W", "error::ResourceWarning", "-W", "error::RuntimeWarning")
+    completed = _fresh_python(WORKER_IMPORTS, str(log), flags=flags)
+    assert "ResourceWarning" not in completed.stderr, completed.stderr
+    assert not log.exists(), log.read_text()
 
 
 # ----------------------------------------------------------------------

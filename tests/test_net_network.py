@@ -130,3 +130,38 @@ def test_process_lookup():
     assert not net.knows("zz")
     with pytest.raises(NetworkError):
         net.process("zz")
+
+
+def test_alias_registration_and_delivery(sim, network):
+    from repro.net.message import Message
+    from repro.sim.process import SimProcess
+
+    class Sink(SimProcess):
+        def __init__(self):
+            super().__init__(sim, "sink", respawn_delay=None)
+            self.got = []
+
+        def handle_message(self, message):
+            self.got.append(message)
+
+    sink = Sink()
+    network.register(sink)
+    network.register_alias("sink~id1", "sink")
+    assert network.knows("sink~id1")
+    network.send(Message("sink", "sink~id1", "ping", {}))
+    sim.run()
+    assert len(sink.got) == 1
+
+
+def test_alias_validation(sim, network):
+    from repro.sim.process import SimProcess
+
+    p = SimProcess(sim, "p", respawn_delay=None)
+    network.register(p)
+    with pytest.raises(NetworkError):
+        network.register_alias("p", "p")  # collides with a real name
+    with pytest.raises(NetworkError):
+        network.register_alias("x", "ghost")
+    network.register_alias("x", "p")
+    with pytest.raises(NetworkError):
+        network.register_alias("x", "p")  # duplicate alias

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacker.agent import AttackerProcess
+from repro.attacker.driver import IndirectProber
+from repro.core.builders import add_clients, build_system
+from repro.core.specs import s2
 from repro.errors import ConfigurationError
 from repro.proxy.detection import DetectionLog, DetectionPolicy, kappa_for_policy
+from repro.randomization.obfuscation import Scheme
 
 
 def test_policy_validation():
@@ -99,3 +104,101 @@ def test_kappa_scales_with_period():
 def test_kappa_requires_positive_omega():
     with pytest.raises(ConfigurationError):
         kappa_for_policy(DetectionPolicy(), omega=0.0)
+
+
+def test_under_siege_requires_aggregate_threshold():
+    log = DetectionLog(DetectionPolicy(window=10.0, threshold=100))
+    for i in range(50):
+        log.record_invalid(f"src{i}", float(i) * 0.01)
+    assert not log.under_siege(1.0)  # no aggregate threshold configured
+
+
+def test_under_siege_triggers_and_subsides():
+    log = DetectionLog(
+        DetectionPolicy(window=10.0, threshold=100, aggregate_threshold=20)
+    )
+    for i in range(25):
+        log.record_invalid(f"src{i}", float(i) * 0.1)  # distinct sources!
+    assert log.under_siege(2.5)
+    assert not log.under_siege(30.0)  # window rolled past the burst
+
+
+def test_valid_history_tracked():
+    log = DetectionLog(DetectionPolicy())
+    assert log.valid_count("c") == 0
+    log.record_valid("c")
+    log.record_valid("c")
+    assert log.valid_count("c") == 2
+
+
+# ----------------------------------------------------------------------
+# Siege mode against an identity-rotating indirect prober
+# ----------------------------------------------------------------------
+def build_fortress(policy, seed):
+    """An S2SO deployment with a *bare* attacker: no direct proxy
+    streams, no launch pads, only the indirect (client-path) channel."""
+    spec = s2(Scheme.SO, alpha=0.1, kappa=0.0, entropy_bits=10)
+    deployed = build_system(
+        spec, seed=seed, detection_policy=policy, stop_on_compromise=False
+    )
+    attacker = AttackerProcess(
+        deployed.sim,
+        deployed.network,
+        keyspace=spec.keyspace,
+        omega=spec.omega,
+        period=spec.period,
+    )
+    deployed.network.register(attacker)
+    deployed.attacker = attacker
+    return deployed, attacker
+
+
+def mount_rotating_prober(deployed, attacker, rate=16.0, identities=8):
+    """Indirect probes at ``rate`` per step, cycling ``identities`` spoofed
+    client identities across the proxies."""
+    prober = IndirectProber(
+        attacker,
+        deployed.proxy_names,
+        attacker.pool("server-tier"),
+        interval=deployed.spec.period / rate,
+        identities=identities,
+    )
+    prober.start()
+    return prober
+
+
+def test_siege_mode_blunts_identity_rotation():
+    """Adding aggregate detection: identities without a valid history
+    are turned away and the probing stream starves — rotation no longer
+    pays."""
+    # Per-source thresholds too lax to bite on their own; only the
+    # aggregate analysis differs between the two deployments.
+    per_source_only = DetectionPolicy(window=5.0, threshold=1000)
+    with_siege = DetectionPolicy(window=5.0, threshold=1000, aggregate_threshold=5)
+
+    probes = {}
+    for label, policy in (("plain", per_source_only), ("siege", with_siege)):
+        deployed, attacker = build_fortress(policy, seed=52)
+        mount_rotating_prober(deployed, attacker)
+        deployed.start()
+        deployed.sim.run(until=40.0)
+        # Count probes that actually reached the server tier.
+        reached = sum(s.address_space.probes_received for s in deployed.servers)
+        probes[label] = reached
+        if label == "siege":
+            assert any(p.dropped_siege > 0 for p in deployed.proxies)
+    assert probes["siege"] < probes["plain"] / 2
+
+
+def test_siege_mode_spares_established_clients():
+    policy = DetectionPolicy(window=5.0, threshold=5, aggregate_threshold=8)
+    deployed, attacker = build_fortress(policy, seed=53)
+    clients = add_clients(deployed, 1)
+    deployed.start()
+    deployed.sim.run(until=5.0)  # client builds a valid history first
+    mount_rotating_prober(deployed, attacker)
+    before = clients[0].responses_ok
+    deployed.sim.run(until=30.0)
+    # The siege throttles the attacker, not the known-good client.
+    assert clients[0].responses_ok > before + 50
+    assert any(p.dropped_siege > 0 for p in deployed.proxies)
