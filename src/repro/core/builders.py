@@ -25,7 +25,7 @@ from ..replication.primary_backup import PBServer
 from ..replication.smr import SMRReplica
 from ..replication.state_machine import KVStoreService, Service
 from ..sim.engine import Simulator
-from .clients import WorkloadClient
+from .clients import RequestClient, WorkloadClient
 from .compromise import CompromiseMonitor
 from .specs import SystemClass, SystemSpec
 from .timing import DEFAULT_TIMING, TimingSpec
@@ -68,7 +68,7 @@ class DeployedSystem:
     monitor: CompromiseMonitor
     timing: TimingSpec = DEFAULT_TIMING
     attacker: Optional[AttackerProcess] = None
-    clients: list[WorkloadClient] = field(default_factory=list)
+    clients: list[RequestClient] = field(default_factory=list)
     #: Set by the scenario runtime when a fault plan is scheduled.
     injector: Optional["FaultInjector"] = None
 
@@ -382,9 +382,19 @@ def attach_attacker(
 def add_clients(
     deployed: DeployedSystem,
     count: int = 1,
+    client_class: type[RequestClient] = WorkloadClient,
     **client_kwargs,
-) -> list[WorkloadClient]:
-    """Add ``count`` workload clients in the mode matching the system."""
+) -> list[RequestClient]:
+    """Add ``count`` workload clients in the mode matching the system.
+
+    ``client_class`` picks the arrival policy: the closed-loop
+    :class:`~repro.core.clients.WorkloadClient` or the open-loop
+    :class:`~repro.workloads.openloop.OpenLoopClient`; ``client_kwargs``
+    go to its constructor.  Each client is named by its index in
+    ``deployed.clients`` (``client-0``, ``openloop-0``, ...): its RNG
+    streams derive from the name, so runs stay reproducible however
+    many clients the process built before.
+    """
     mode = {
         SystemClass.S0: "smr",
         SystemClass.S1: "pb",
@@ -397,13 +407,14 @@ def add_clients(
     )
     clients = []
     for _ in range(count):
-        client = WorkloadClient(
+        client = client_class(
             deployed.sim,
             deployed.network,
             deployed.authority,
             mode=mode,
             targets=targets,
             f=deployed.spec.f,
+            name=f"{client_class.stem}-{len(deployed.clients)}",
             **client_kwargs,
         )
         deployed.network.register(client)

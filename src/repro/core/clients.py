@@ -1,8 +1,9 @@
 """Workload clients.
 
-A :class:`WorkloadClient` issues a closed loop of legitimate service
-requests against whichever deployment it is pointed at and *validates*
-the responses exactly the way the paper prescribes for each system:
+Every client shares one request core, :class:`RequestClient`: it sends
+legitimate service requests to whichever deployment it is pointed at and
+*validates* the responses exactly the way the paper prescribes for each
+system:
 
 * **fortress** (S2) — requests go to all proxies; a response is accepted
   if it carries two authentic signatures, one from the forwarding proxy
@@ -12,26 +13,25 @@ the responses exactly the way the paper prescribes for each system:
 * **smr** (S0) — requests go to all replicas; the client waits for
   ``f + 1`` matching authentic responses.
 
-Clients retry on timeout and keep enough statistics for the examples and
-integration tests to assert end-to-end behaviour (including detecting
-corrupted responses from compromised replicas).
+Only the arrival policy differs between clients.  The closed-loop
+:class:`WorkloadClient` here keeps one request in flight and retries on
+timeout; the open-loop :class:`~repro.workloads.openloop.OpenLoopClient`
+issues requests on a Poisson process and never retries.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, Mapping, Optional
 
 from ..crypto.signatures import Signed, SignatureAuthority
 from ..net.message import Message
 from ..net.network import Network
-from ..proxy.proxy import CLIENT_ERROR, CLIENT_REQUEST, CLIENT_RESPONSE
+from ..proxy.proxy import CLIENT_REQUEST, CLIENT_RESPONSE
 from ..replication.primary_backup import REQUEST, SERVER_RESPONSE
+from ..replication.smr import vote_response
 from ..sim.engine import Simulator
 from ..sim.process import SimProcess
-
-_CLIENT_SEQ = itertools.count(1)
 
 #: request-body generator signature: (op_index, rng) -> body dict
 BodyFactory = Callable[[int, random.Random], dict]
@@ -48,8 +48,13 @@ def default_body_factory(i: int, rng: random.Random) -> dict:
     return {"op": "incr", "key": f"ctr{rng.randrange(4)}"}
 
 
-class WorkloadClient(SimProcess):
-    """Closed-loop client with per-system response validation.
+class RequestClient(SimProcess):
+    """The request core every workload client shares.
+
+    It holds the table of outstanding requests keyed by ``request_id``,
+    builds and sends request payloads, validates responses (see the
+    module docstring) and counts completions.  A subclass supplies the
+    arrival policy: :meth:`_schedule_arrival` and :meth:`_finished`.
 
     Parameters
     ----------
@@ -59,16 +64,163 @@ class WorkloadClient(SimProcess):
         ``"fortress"``, ``"pb"`` or ``"smr"`` (see module docstring).
     targets:
         Proxy addresses (fortress) or server addresses (pb / smr).
+    name:
+        Network identity; its RNG stream is ``{name}:{stream}``.
     f:
         Fault threshold for SMR response voting.
+    body_factory:
+        Generates request bodies (defaults to a mixed KV workload).
+    """
+
+    #: Clients are named ``{stem}-{index}`` (see ``add_clients``).
+    stem = "client"
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        authority: SignatureAuthority,
+        mode: str,
+        targets: list[str],
+        name: Optional[str],
+        f: int,
+        body_factory: BodyFactory,
+        stream: str,
+    ) -> None:
+        if mode not in ("fortress", "pb", "smr"):
+            raise ValueError(f"unknown client mode {mode!r}")
+        super().__init__(sim, name or f"{self.stem}-0", respawn_delay=None)
+        self.network = network
+        self.authority = authority
+        self.mode = mode
+        self.targets = list(targets)
+        self.f = f
+        self.body_factory = body_factory
+        self._rng = sim.rng.stream(f"{self.name}:{stream}")
+        self._response_type = CLIENT_RESPONSE if mode == "fortress" else SERVER_RESPONSE
+        self._outstanding: dict[str, dict] = {}
+        self._op_index = 0
+        self._running = False
+        self.requests_sent = 0
+        self.responses_ok = 0
+        self.responses_corrupted = 0
+        self.latencies: list[float] = []
+
+    # ------------------------------------------------------------------
+    # Arrivals
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Begin issuing requests."""
+        if not self._running:
+            self._running = True
+            self._schedule_arrival()
+
+    def stop_workload(self) -> None:
+        """Stop issuing requests (outstanding ones still resolve)."""
+        self._running = False
+
+    @property
+    def in_flight(self) -> int:
+        """Currently outstanding requests."""
+        return len(self._outstanding)
+
+    def _schedule_arrival(self) -> None:
+        raise NotImplementedError
+
+    def _finished(self, entry: dict) -> None:
+        """Called once a request completes, after it is counted."""
+
+    def _open_request(self) -> tuple[str, dict]:
+        """Draw the next request body, record it and send it."""
+        self._op_index += 1
+        request_id = f"{self.name}-r{self._op_index}"
+        entry = {
+            "body": self.body_factory(self._op_index, self._rng),
+            "sent_at": self.sim.now,
+            "votes": {},
+        }
+        self._outstanding[request_id] = entry
+        self._send(request_id, entry["body"])
+        return request_id, entry
+
+    def _send(self, request_id: str, body: dict) -> None:
+        self.requests_sent += 1
+        if self.mode == "fortress":
+            mtype = CLIENT_REQUEST
+            payload = {"request_id": request_id, "client": self.name, "body": body}
+        else:
+            mtype = REQUEST
+            payload = {
+                "request_id": request_id,
+                "client": self.name,
+                "reply_to": [self.name],
+                "body": body,
+            }
+        for target in self.targets:
+            if self.network.knows(target):
+                self.network.send(Message(self.name, target, mtype, payload))
+
+    # ------------------------------------------------------------------
+    # Responses
+    # ------------------------------------------------------------------
+    def handle_message(self, message: Message) -> None:
+        # Proxies' CLIENT_ERROR reports are ignored: the client's own
+        # timer decides when a request has failed.
+        if message.mtype != self._response_type:
+            return
+        if self.mode == "fortress":
+            envelope = message.payload.get("envelope")
+            signed = envelope.payload if isinstance(envelope, Signed) else None
+        else:
+            signed = message.payload.get("signed")
+        if not isinstance(signed, Signed) or not isinstance(signed.payload, dict):
+            return
+        body = signed.payload
+        request_id = body.get("request_id")
+        # Look the request up before checking any signature: a response
+        # to a finished or unknown request is dropped either way, and
+        # verification has no side effect, so it is not paid for.
+        entry = self._outstanding.get(request_id)
+        if entry is None:
+            return
+        if self.mode == "fortress":
+            authentic = self.authority.verify_oversigned(envelope)
+        else:
+            authentic = self.authority.verify(signed)
+        if not authentic:
+            return  # forged or tampered; keep waiting for an honest answer
+        response = body["response"]
+        if self.mode == "smr":
+            response = vote_response(
+                entry["votes"], body["index"], response, response, self.f + 1
+            )
+            if response is None:
+                return
+        self._complete(request_id, entry, response)
+
+    def _complete(self, request_id: str, entry: dict, response: Mapping) -> None:
+        del self._outstanding[request_id]
+        self.latencies.append(self.sim.now - entry["sent_at"])
+        if response.get("error") == "__corrupted__":
+            self.responses_corrupted += 1
+        else:
+            self.responses_ok += 1
+        self._finished(entry)
+
+
+class WorkloadClient(RequestClient):
+    """Closed-loop client: one request in flight, retried on timeout.
+
+    Parameters
+    ----------
+    sim, network, authority, mode, targets, name, f, body_factory:
+        See :class:`RequestClient`.
     think_time:
         Delay between receiving a response and issuing the next request.
     request_timeout:
         Patience before a retry.
     max_retries:
         Retries per request before recording a failure.
-    body_factory:
-        Generates request bodies (defaults to a mixed KV workload).
     """
 
     def __init__(
@@ -85,159 +237,47 @@ class WorkloadClient(SimProcess):
         max_retries: int = 3,
         body_factory: BodyFactory = default_body_factory,
     ) -> None:
-        if mode not in ("fortress", "pb", "smr"):
-            raise ValueError(f"unknown client mode {mode!r}")
-        super().__init__(sim, name or f"client-{next(_CLIENT_SEQ)}", respawn_delay=None)
-        self.network = network
-        self.authority = authority
-        self.mode = mode
-        self.targets = list(targets)
-        self.f = f
+        super().__init__(
+            sim, network, authority, mode, targets, name, f, body_factory, "workload"
+        )
         self.think_time = think_time
         self.request_timeout = request_timeout
         self.max_retries = max_retries
-        self.body_factory = body_factory
-        self._rng = sim.rng.stream(f"{self.name}:workload")
-        self._op_index = 0
-        self._current: Optional[dict] = None
-        self.responses_ok = 0
-        self.responses_corrupted = 0
         self.failures = 0
-        self.requests_sent = 0
-        self.latencies: list[float] = []
-        self._running_workload = False
 
-    # ------------------------------------------------------------------
-    # Workload loop
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin issuing requests."""
-        if not self._running_workload:
-            self._running_workload = True
-            self.sim.schedule(self.think_time, self._issue_next)
-
-    def stop_workload(self) -> None:
-        """Stop after the in-flight request (if any) resolves."""
-        self._running_workload = False
+    def _schedule_arrival(self) -> None:
+        self.sim.schedule(self.think_time, self._issue_next)
 
     def _issue_next(self) -> None:
-        if not self._running_workload or self._current is not None:
+        if not self._running or self._outstanding:
             return
-        self._op_index += 1
-        body = self.body_factory(self._op_index, self._rng)
-        request_id = f"{self.name}-r{self._op_index}"
-        self._current = {
-            "request_id": request_id,
-            "body": body,
-            "retries": 0,
-            "sent_at": self.sim.now,
-            "votes": {},
-        }
-        self._transmit()
+        request_id, entry = self._open_request()
+        entry["retries"] = 0
+        self._arm_deadline(request_id, entry)
 
-    def _transmit(self) -> None:
-        assert self._current is not None
-        request_id = self._current["request_id"]
-        body = self._current["body"]
-        self.requests_sent += 1
-        if self.mode == "fortress":
-            payload = {"request_id": request_id, "client": self.name, "body": body}
-            for proxy in self.targets:
-                if self.network.knows(proxy):
-                    self.network.send(
-                        Message(self.name, proxy, CLIENT_REQUEST, payload)
-                    )
-        else:
-            payload = {
-                "request_id": request_id,
-                "client": self.name,
-                "reply_to": [self.name],
-                "body": body,
-            }
-            for server in self.targets:
-                if self.network.knows(server):
-                    self.network.send(Message(self.name, server, REQUEST, payload))
-        self._current["deadline"] = self.sim.schedule(
+    def _arm_deadline(self, request_id: str, entry: dict) -> None:
+        entry["deadline"] = self.sim.schedule(
             self.request_timeout, self._on_timeout, request_id
         )
 
     def _on_timeout(self, request_id: str) -> None:
-        current = self._current
-        if current is None or current["request_id"] != request_id:
+        entry = self._outstanding.get(request_id)
+        if entry is None:
             return
-        current["retries"] += 1
-        if current["retries"] > self.max_retries:
+        entry["retries"] += 1
+        if entry["retries"] > self.max_retries:
             self.failures += 1
-            self._current = None
-            self._after_response()
+            del self._outstanding[request_id]
+            self._after_request()
             return
-        current["votes"] = {}
-        self._transmit()
+        entry["votes"] = {}
+        self._send(request_id, entry["body"])
+        self._arm_deadline(request_id, entry)
 
-    def _after_response(self) -> None:
-        if self._running_workload:
-            self.sim.schedule(self.think_time, self._issue_next)
+    def _finished(self, entry: dict) -> None:
+        entry["deadline"].cancel()
+        self._after_request()
 
-    # ------------------------------------------------------------------
-    # Response handling
-    # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        if message.mtype == CLIENT_RESPONSE and self.mode == "fortress":
-            self._on_fortress_response(message)
-        elif message.mtype == SERVER_RESPONSE and self.mode in ("pb", "smr"):
-            self._on_server_response(message)
-        elif message.mtype == CLIENT_ERROR:
-            pass  # proxies report timeouts; our own timer drives retries
-
-    def _on_fortress_response(self, message: Message) -> None:
-        current = self._current
-        envelope = message.payload.get("envelope")
-        if current is None or not isinstance(envelope, Signed):
-            return
-        if message.payload.get("request_id") != current["request_id"]:
-            return
-        if not self.authority.verify_oversigned(envelope):
-            return  # forged or tampered; keep waiting for an honest proxy
-        inner = envelope.payload
-        self._complete(inner.payload["response"])
-
-    def _on_server_response(self, message: Message) -> None:
-        current = self._current
-        signed = message.payload.get("signed")
-        if current is None or not isinstance(signed, Signed):
-            return
-        if not self.authority.verify(signed):
-            return
-        body = signed.payload
-        if body.get("request_id") != current["request_id"]:
-            return
-        if self.mode == "pb":
-            self._complete(body["response"])
-            return
-        # SMR: collect f+1 matching responses.
-        fingerprint = repr(
-            sorted((str(k), repr(v)) for k, v in body["response"].items())
-        )
-        current["votes"][body["index"]] = (fingerprint, body["response"])
-        counts: dict[str, int] = {}
-        for fp, _ in current["votes"].values():
-            counts[fp] = counts.get(fp, 0) + 1
-        for fp, count in counts.items():
-            if count >= self.f + 1:
-                response = next(
-                    resp for f2, resp in current["votes"].values() if f2 == fp
-                )
-                self._complete(response)
-                return
-
-    def _complete(self, response: Mapping) -> None:
-        current = self._current
-        assert current is not None
-        current["deadline"].cancel()
-        self.latencies.append(self.sim.now - current["sent_at"])
-        if response.get("error") == "__corrupted__":
-            self.responses_corrupted += 1
-        else:
-            self.responses_ok += 1
-        self._current = None
-        self._after_response()
+    def _after_request(self) -> None:
+        if self._running:
+            self._schedule_arrival()

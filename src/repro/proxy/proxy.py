@@ -23,7 +23,7 @@ and compromised over direct connections, exactly like servers in a
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..core.timing import DEFAULT_DETECTION_LAG, DEFAULT_RESPAWN_DELAY
 from ..crypto.signatures import Signed, SignatureAuthority
@@ -32,6 +32,7 @@ from ..net.network import Network
 from ..randomization.keyspace import KeySpace
 from ..randomization.node import RandomizedProcess
 from ..replication.primary_backup import REQUEST, SERVER_RESPONSE
+from ..replication.smr import vote_response
 from ..sim.engine import Simulator
 from .detection import DetectionLog, DetectionPolicy
 
@@ -133,7 +134,7 @@ class ProxyNode(RandomizedProcess):
             "client": client,
             "deadline": deadline,
             "done": False,
-            "votes": {},  # index -> (signed, response fingerprint)
+            "votes": {},  # index -> (response fingerprint, signed)
         }
         self.requests_forwarded += 1
         body = payload.get("body", {})
@@ -184,28 +185,16 @@ class ProxyNode(RandomizedProcess):
         if not self.authority.verify(signed):
             return  # inauthentic; a compromised node cannot forge peers
         if self.server_replication == "smr":
-            self._vote_smr(entry, request_id, signed, body)
-        else:
-            self._deliver(entry, request_id, signed)
-
-    def _vote_smr(
-        self, entry: dict, request_id: str, signed: Signed, body: Mapping
-    ) -> None:
-        """Accumulate responses until ``f + 1`` replicas agree."""
-        fingerprint = repr(
-            sorted((str(k), repr(v)) for k, v in body["response"].items())
-        )
-        entry["votes"][body["index"]] = (signed, fingerprint)
-        counts: dict[str, int] = {}
-        for _, fp in entry["votes"].values():
-            counts[fp] = counts.get(fp, 0) + 1
-        winner = next(
-            (fp for fp, c in counts.items() if c >= self.fault_threshold + 1), None
-        )
-        if winner is None:
-            return
-        chosen = next(s for s, fp in entry["votes"].values() if fp == winner)
-        self._deliver(entry, request_id, chosen)
+            signed = vote_response(
+                entry["votes"],
+                body["index"],
+                body["response"],
+                signed,
+                self.fault_threshold + 1,
+            )
+            if signed is None:
+                return
+        self._deliver(entry, request_id, signed)
 
     def _deliver(self, entry: dict, request_id: str, signed: Signed) -> None:
         """Over-sign one authentic server response and return it."""

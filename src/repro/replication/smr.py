@@ -53,6 +53,27 @@ def request_digest(body: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(dict(body))).hexdigest()
 
 
+def vote_response(
+    votes: dict, index: int, response: Mapping[str, Any], item: Any, quorum: int
+) -> Any:
+    """Record replica ``index``'s ``response``; return the agreed item.
+
+    ``votes`` maps a replica index to ``(fingerprint, item)``; a replica
+    that answers again replaces its vote.  Returns the ``item`` of the
+    earliest vote for the first fingerprint ``quorum`` replicas share,
+    or ``None`` while none does.  Clients vote with the response itself,
+    proxies with the signed response they relay.
+    """
+    votes[index] = (repr(sorted((str(k), repr(v)) for k, v in response.items())), item)
+    counts: dict[str, int] = {}
+    for fingerprint, _ in votes.values():
+        counts[fingerprint] = counts.get(fingerprint, 0) + 1
+    winner = next((fp for fp, count in counts.items() if count >= quorum), None)
+    if winner is None:
+        return None
+    return next(agreed for fp, agreed in votes.values() if fp == winner)
+
+
 class SMRReplica(RandomizedProcess):
     """One replica of the S0 state-machine-replicated server system.
 

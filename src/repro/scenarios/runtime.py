@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..attacker.agent import AttackerProcess
 from ..core.builders import DeployedSystem, add_clients, attach_attacker, build_system
-from ..core.specs import SystemClass, SystemSpec
+from ..core.specs import SystemSpec
 from ..core.timing import TimingSpec
 from ..errors import ConfigurationError
 from ..faults.injector import FaultEvent, FaultInjector, MessageLossFault
@@ -176,44 +176,23 @@ def build_fault_plan(
 def install_workload(deployed: DeployedSystem, workload: WorkloadSpec) -> list:
     """Install the scenario's client population (not yet started).
 
-    Clients are appended to ``deployed.clients``, so
+    Clients are appended to ``deployed.clients`` by
+    :func:`~repro.core.builders.add_clients`, so
     :meth:`~repro.core.builders.DeployedSystem.start` starts them with
-    the rest of the deployment.  Open-loop clients get fixed names —
-    their RNG streams derive from the name, and a session-global
-    counter would break run-to-run determinism.
+    the rest of the deployment.
     """
     if not workload.active:
         return []
     if workload.kind == "closed_loop":
         return add_clients(deployed, count=workload.clients)
-    spec = deployed.spec
-    mode = {
-        SystemClass.S0: "smr",
-        SystemClass.S1: "pb",
-        SystemClass.S2: "fortress",
-    }[spec.system]
-    targets = (
-        deployed.proxy_names
-        if spec.system is SystemClass.S2
-        else deployed.server_names
+    period = deployed.spec.period
+    return add_clients(
+        deployed,
+        count=workload.clients,
+        client_class=OpenLoopClient,
+        arrival_rate=workload.arrival_rate / period,
+        request_timeout=workload.request_timeout_steps * period,
     )
-    clients = []
-    for i in range(workload.clients):
-        client = OpenLoopClient(
-            deployed.sim,
-            deployed.network,
-            deployed.authority,
-            mode=mode,
-            targets=targets,
-            arrival_rate=workload.arrival_rate / spec.period,
-            request_timeout=workload.request_timeout_steps * spec.period,
-            f=spec.f,
-            name=f"openloop-{i}",
-        )
-        deployed.network.register(client)
-        deployed.clients.append(client)
-        clients.append(client)
-    return clients
 
 
 def deploy_scenario(

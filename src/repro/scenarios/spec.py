@@ -41,8 +41,7 @@ FAULT_KINDS = (
 #: Deployment tiers a fault plan can target.
 FAULT_TIERS = ("servers", "proxies", "all")
 
-#: Workload shapes (see :mod:`repro.workloads.openloop` and
-#: :mod:`repro.core.clients`).
+#: Workload shapes (see :mod:`repro.core.clients`).
 WORKLOAD_KINDS = ("none", "open_loop", "closed_loop")
 
 
@@ -190,12 +189,17 @@ class FaultPlanSpec:
 class WorkloadSpec:
     """Legitimate traffic offered to the deployment during the attack.
 
-    ``open_loop`` installs Poisson-arrival
+    Both kinds install ``clients`` clients through
+    :func:`~repro.core.builders.add_clients`, which share one request
+    core and differ only in their arrival policy.  ``open_loop``
+    installs Poisson-arrival
     :class:`~repro.workloads.openloop.OpenLoopClient` instances
-    (``arrival_rate`` requests per step each); ``closed_loop`` installs
-    the stock one-at-a-time
-    :class:`~repro.core.clients.WorkloadClient` via
-    :func:`~repro.core.builders.add_clients`.
+    (``arrival_rate`` requests per step each, a request unanswered
+    after ``request_timeout_steps`` counted as a timeout);
+    ``closed_loop`` installs one-at-a-time
+    :class:`~repro.core.clients.WorkloadClient` instances.  A closed
+    loop ignores ``arrival_rate`` and ``request_timeout_steps``: its
+    0.05 s think time and 0.6 s retry timeout are fixed.
     """
 
     kind: str = "none"

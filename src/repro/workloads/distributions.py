@@ -76,8 +76,8 @@ def kv_body_factory(
 ):
     """Build a request-body factory with the given read/write mix.
 
-    Returns a callable compatible with
-    :class:`repro.core.clients.WorkloadClient`'s ``body_factory``.
+    Returns a callable for any workload client's ``body_factory`` (see
+    :class:`repro.core.clients.RequestClient`).
     """
     if not 0.0 <= read_ratio <= 1.0:
         raise ConfigurationError(f"read_ratio must be in [0, 1], got {read_ratio}")
