@@ -93,7 +93,9 @@ class AttackerProcess(SimProcess):
         self._drivers: list[ProbeDriver] = []
         self._coordinated_agents: dict[str, SimProcess] = {}
         self._indirect: list[IndirectProber] = []
-        self._by_connection: dict[int, ProbeDriver] = {}
+        #: Keyed by the connection object (identity hash; dict order is
+        #: insertion order, so no iteration order depends on addresses).
+        self._by_connection: dict[Connection, ProbeDriver] = {}
         self._launchpad_servers: list[str] = []
         self._launchpad_pool_id: Optional[str] = None
         self._launchpad_drivers: dict[str, ProbeDriver] = {}  # proxy -> driver
@@ -373,12 +375,12 @@ class AttackerProcess(SimProcess):
         the attacker attaches himself as the event sink (his shell on the
         proxy receives the traffic).
         """
-        self._by_connection[connection.conn_id] = driver
+        self._by_connection[connection] = driver
         if driver.initiator != self.name:
             connection.attach_sink(driver.initiator, self)
 
     def handle_connection_data(self, connection: Connection, payload) -> None:
-        driver = self._by_connection.get(connection.conn_id)
+        driver = self._by_connection.get(connection)
         if driver is not None:
             driver.on_data(connection, payload)
 
@@ -394,7 +396,7 @@ class AttackerProcess(SimProcess):
         information — and the network elides notifications that would
         only reach the base no-op handler.
         """
-        self._by_connection.pop(connection.conn_id, None)
+        self._by_connection.pop(connection, None)
 
     # ------------------------------------------------------------------
     # Compromise observation and launch-pad lifecycle
@@ -459,8 +461,3 @@ class AttackerProcess(SimProcess):
         Network-level countermeasures (partition plans) must cut all of
         them to actually sever the attacker."""
         return (self.name, *self._coordinated_agents)
-
-    @property
-    def probes_sent_total(self) -> int:
-        """All probes fired so far, on any path."""
-        return self.probes_sent_direct + self.probes_sent_indirect

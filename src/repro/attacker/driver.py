@@ -124,7 +124,7 @@ class ProbeDriver:
                 # observation); retire its routing entry here instead of
                 # paying a notification event per crash
                 # (AttackerProcess.unregister_connection, inlined).
-                attacker._by_connection.pop(connection.conn_id, None)
+                attacker._by_connection.pop(connection, None)
             connection = self.connection = attacker.network.connect(
                 self.initiator, self.target
             )

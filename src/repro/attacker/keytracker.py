@@ -196,7 +196,9 @@ class KeyGuessTracker:
             return guess
         if len(tried) >= self._materialize_at:
             self._materialize()
-            return self.next_guess_after_materialize()
+            guess = self._remaining.pop()
+            tried.add(guess)
+            return guess
         buffer = self._buffer
         if buffer is not None:
             values = buffer._values  # pop buffered values without a frame
@@ -214,26 +216,9 @@ class KeyGuessTracker:
                 tried.add(guess)
                 return guess
 
-    def next_guess_after_materialize(self) -> int:
-        """Pop from the materialized remainder (internal fast path)."""
-        assert self._remaining is not None
-        guess = self._remaining.pop()
-        self._tried.add(guess)
-        return guess
-
     def _materialize(self) -> None:
         # The shuffle is the one draw shape the shared buffer cannot
         # replay; the refill headroom cap guarantees it drained first.
-        # Reachable only through out-of-band eliminations (see
-        # :meth:`eliminate`), and an explicit error beats silently
-        # consuming the stream out of order.
-        if self._buffer is not None and len(self._buffer) > 0:
-            raise ConfigurationError(
-                "guess buffer non-empty at materialization — chunked "
-                "draws would diverge from the per-probe draw sequence "
-                "(out-of-band eliminate() calls are incompatible with "
-                "shared guess buffering)"
-            )
         remaining = [k for k in range(self.keyspace.size) if k not in self._tried]
         self._rng.shuffle(remaining)
         self._remaining = remaining
@@ -241,21 +226,6 @@ class KeyGuessTracker:
     def record_success(self, guess: int) -> None:
         """Remember the confirmed key of this pool's instance."""
         self.known_key = guess
-
-    def eliminate(self, guess: int) -> None:
-        """Record an externally observed wrong guess (e.g. learned from a
-        colluding probe stream against the same pool).
-
-        Out-of-band eliminations advance the pool toward its shuffle
-        threshold without consuming draws, which the shared
-        :class:`GuessBuffer` headroom rule cannot anticipate; a pool that
-        reaches its threshold while buffered values remain raises at
-        materialization rather than diverge from the per-probe draw
-        stream.  Pools fed by colluding streams should be constructed
-        without a buffer."""
-        self._tried.add(guess)
-        if self._remaining is not None and guess in self._remaining:
-            self._remaining.remove(guess)
 
     def reset(self) -> None:
         """Forget all eliminations — the defender re-randomized.

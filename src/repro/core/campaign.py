@@ -42,6 +42,7 @@ from .experiment import (
     _aggregate,
     _estimate_points,
     _Point,
+    _Rules,
 )
 from .specs import SystemClass, SystemSpec
 from .timing import TimingSpec
@@ -460,6 +461,19 @@ def run_campaign(
     specs = list(specs)
     if not specs:
         raise ConfigurationError("campaign needs at least one spec")
+    rules = _Rules(
+        trials=trials,
+        max_steps=max_steps,
+        batch_size=batch_size,
+        precision=precision,
+        min_trials=min_trials,
+        max_trials=max_trials,
+        max_censored_fraction=max_censored_fraction,
+        estimator=estimator,
+        splitting=splitting,
+        scenario=scenario,
+        build_kwargs=tuple(sorted(build_kwargs.items())),
+    )
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
     executor = _campaign_executor(workers, supervision, chaos)
@@ -477,18 +491,8 @@ def run_campaign(
             _estimate_points(
                 executor,
                 points,
-                trials=trials,
-                max_steps=max_steps,
-                batch_size=batch_size,
-                precision=precision,
-                min_trials=min_trials,
-                max_trials=max_trials,
-                max_censored_fraction=max_censored_fraction,
-                scenario=scenario,
-                cache=cache,
-                estimator=estimator,
-                splitting=splitting,
-                build_kwargs=build_kwargs,
+                rules,
+                cache,
                 on_outcomes=progress.update if progress is not None else None,
             )
     except KeyboardInterrupt:

@@ -8,15 +8,20 @@ and the analytic lifetimes against an implementation that actually
 exchanges protocol messages, crashes processes and reboots nodes.
 
 One round loop (:func:`_estimate_points`) serves both a single
-estimate and every campaign of :mod:`repro.core.campaign`.  Each round
-runs one seed block per still-active point through :func:`_run_blocks`,
-the only code that turns seeds into :class:`ProtocolTask` batches,
-consults the result cache and stores finished blocks; all misses share
-one :class:`repro.mc.executor.TaskExecutor` pass.  Points bound for
+estimate and every campaign of :mod:`repro.core.campaign`, under one
+validated :class:`_Rules` object that holds every option of the
+estimate.  Each round runs one seed block per still-active point
+through :func:`_run_blocks`, the only code that turns seeds into
+:class:`ProtocolTask` batches, consults the result cache and stores
+finished blocks; all misses share one
+:class:`repro.mc.executor.TaskExecutor` pass.  Points bound for
 rare-event splitting then share two more passes: every point's pilot
-wave, then every point's replications.  Seeds are derived *before*
-dispatch, so estimates are bit-identical for any worker count or batch
-size — including the serial fallback.  ``precision=`` switches a point
+wave, then every point's replications.  This module also owns every
+result-cache format of the loop: key payloads, entry encodings and
+their strict decoders, for Monte-Carlo blocks and splitting estimates
+alike.  Seeds are derived *before* dispatch, so estimates are
+bit-identical for any worker count or batch size — including the
+serial fallback.  ``precision=`` switches a point
 from one fixed-count block to streaming rounds with CI-width early
 stopping, mirroring the Monte-Carlo path.  Censored runs (those
 that survive the whole step budget) are never folded into the mean
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import gc
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
@@ -45,7 +50,11 @@ from .builders import DeployedSystem, add_clients, attach_attacker, build_system
 from .specs import SystemSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..rare.splitting import RareEventEstimate, SplittingConfig
+    from ..rare.splitting import (
+        RareEventEstimate,
+        SplittingConfig,
+        SplittingReplication,
+    )
     from ..scenarios.spec import ScenarioSpec
 
 #: Seeds dispatched per :class:`ProtocolTask` (amortizes process-pool
@@ -118,14 +127,19 @@ def compose_deployment(
 
     With ``scenario`` set, the deployment is composed by
     :func:`~repro.scenarios.runtime.deploy_scenario` — scenario timing,
-    adversary strategy, seeded fault plan and workload — and
-    ``with_workload`` is ignored (the scenario declares its own
-    traffic).  The epoch fast-forward arms only when the scenario has
-    no faults and no workload in play (see ``deploy_scenario``).
-    ``build_kwargs`` pass through to
+    adversary strategy, seeded fault plan and workload.  The scenario
+    declares its own traffic, so ``with_workload=True`` beside it raises
+    :class:`~repro.errors.ConfigurationError`.  The epoch fast-forward
+    arms only when the scenario has no faults and no workload in play
+    (see ``deploy_scenario``).  ``build_kwargs`` pass through to
     :func:`~repro.core.builders.build_system` either way.
     """
     if scenario is not None:
+        if with_workload:
+            raise ConfigurationError(
+                "with_workload=True conflicts with scenario=: a scenario "
+                "declares its own traffic (set its workload instead)"
+            )
         from ..scenarios.runtime import deploy_scenario  # deferred: layering
 
         deployed = deploy_scenario(
@@ -147,22 +161,24 @@ def compose_deployment(
     return deployed
 
 
-def _run_until(deployed: DeployedSystem, horizon: float) -> None:
-    """Advance a started deployment to ``horizon`` with cyclic GC paused.
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic GC for the body: one simulation run or replication.
 
-    The simulation allocates at probe rate but creates no cycles the
-    young-generation collector could reclaim mid-run; pausing cyclic
-    GC for the run avoids per-allocation-burst scan pauses.  (The
-    deployment's own cycles are collected after re-enabling.)
+    The simulation allocates at probe rate (and splitting forks
+    deployments by deepcopy) but creates no cycles the young-generation
+    collector could reclaim mid-run; pausing cyclic GC avoids
+    per-allocation-burst scan pauses.  (The deployment's own cycles are
+    collected after re-enabling.)
     """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
     try:
-        deployed.sim.run(until=horizon)
+        yield
     finally:
-        if gc_was_enabled:
-            gc.enable()
+        gc.enable()
 
 
 def _sample_run_metrics(deployed: DeployedSystem) -> RunMetrics:
@@ -240,7 +256,8 @@ def run_protocol_lifetime(
         **build_kwargs,
     )
     deployed.start()
-    _run_until(deployed, max_steps * spec.period)
+    with gc_paused():
+        deployed.sim.run(until=max_steps * spec.period)
     return outcome_from_deployment(deployed, seed, max_steps)
 
 
@@ -310,7 +327,7 @@ class LifetimeEstimate:
         Every per-seed :class:`LifetimeOutcome`, in seed order.
     censoring:
         Censoring-aware summary (censored fraction, Kaplan-Meier
-        restricted mean).  Derived from ``outcomes`` when omitted.
+        restricted mean).
     converged:
         ``False`` only for precision-targeted estimates that exhausted
         their seed budget before reaching the requested CI half-width.
@@ -332,29 +349,11 @@ class LifetimeEstimate:
     stats: SummaryStats
     censored: int
     outcomes: tuple[LifetimeOutcome, ...]
-    censoring: Optional[CensoredSummary] = field(repr=False, default=None)
+    censoring: CensoredSummary = field(repr=False)
+    events: int
     converged: bool = True
     estimator: str = "mc"
     rare: Optional["RareEventEstimate"] = field(repr=False, default=None)
-    events: int = 0
-
-    def __post_init__(self) -> None:
-        # Derive the censoring summary (and event total) for callers
-        # constructing the pre-campaign 4-field form, so km_mean_steps
-        # and cost accounting always work.
-        if self.censoring is None and self.outcomes:
-            object.__setattr__(
-                self,
-                "censoring",
-                summarize_censored(
-                    [float(o.steps) for o in self.outcomes],
-                    [not o.compromised for o in self.outcomes],
-                ),
-            )
-        if self.events == 0 and self.outcomes:
-            object.__setattr__(
-                self, "events", sum(o.metrics.events_executed for o in self.outcomes)
-            )
 
     @property
     def mean_steps(self) -> float:
@@ -389,6 +388,7 @@ def _aggregate(
         censored=censoring.n_censored,
         outcomes=tuple(outcomes),
         censoring=censoring,
+        events=sum(o.metrics.events_executed for o in outcomes),
         converged=converged,
     )
 
@@ -399,7 +399,8 @@ def _batched(seeds: list[int], batch_size: int) -> Iterator[tuple[int, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Result-cache plumbing
+# Result-cache formats: every key payload, entry encoding and strict
+# decode of the round loop
 # ----------------------------------------------------------------------
 def _outcome_block_payload(
     spec: SystemSpec,
@@ -490,6 +491,90 @@ def _outcomes_from_payload(
     return outcomes
 
 
+def _splitting_key_payload(
+    spec: SystemSpec,
+    root_seed: int,
+    max_steps: int,
+    build_kwargs: dict,
+    scenario: "ScenarioSpec | None",
+    config: "SplittingConfig",
+) -> dict:
+    """Cache-key payload of one splitting estimate.
+
+    The estimator and its full level-placement configuration enter the
+    key (the level *values* are a deterministic function of the config
+    and the root seed, and are stored in the entry); the fan-out shape
+    never does.
+    """
+    return {
+        "kind": "rare_event_estimate",
+        "estimator": "splitting",
+        "spec": spec,
+        "root_seed": root_seed,
+        "max_steps": max_steps,
+        "build_kwargs": dict(build_kwargs),
+        "scenario": scenario,
+        "config": config.as_dict(),
+    }
+
+
+def _estimate_payload(
+    estimate: "RareEventEstimate", replications: Sequence["SplittingReplication"]
+) -> dict:
+    """JSON-ready splitting cache entry: the raw waves, refolded on read."""
+    return {
+        "levels": list(estimate.levels),
+        "pilot": [
+            [_outcome_payload(outcome), max_level]
+            for outcome, max_level in zip(
+                estimate.pilot_outcomes, estimate.pilot_max_levels
+            )
+        ],
+        "replications": [
+            {
+                "product": rep.product,
+                "counts": [list(pair) for pair in rep.counts],
+                "events": rep.events,
+                "compromise_steps": list(rep.compromise_steps),
+            }
+            for rep in replications
+        ],
+    }
+
+
+def _estimate_from_payload(
+    spec: SystemSpec, payload: Any, config: "SplittingConfig"
+) -> "RareEventEstimate":
+    """Rebuild a cached splitting estimate; raise on shape mismatch.
+
+    The fold is re-run from the stored waves, so a cached estimate is
+    bit-identical to a recomputed one by determinism of the fold.
+    """
+    from ..rare.splitting import SplittingReplication, fold_estimate
+
+    if not isinstance(payload, dict):
+        raise ValueError("cached splitting entry is not a mapping")
+    pilot_results = [
+        (_outcome_from_entry(spec, entry), _json_real(max_level))
+        for entry, max_level in payload["pilot"]
+    ]
+    if len(pilot_results) != config.pilot_runs:
+        raise ValueError("cached splitting entry does not match the request")
+    replications = [
+        SplittingReplication(
+            product=_json_real(rep["product"]),
+            counts=tuple((_json_int(n), _json_int(k)) for n, k in rep["counts"]),
+            events=_json_int(rep["events"]),
+            compromise_steps=tuple(_json_int(s) for s in rep["compromise_steps"]),
+        )
+        for rep in payload["replications"]
+    ]
+    if len(replications) != config.replications:
+        raise ValueError("cached splitting entry does not match the request")
+    levels = tuple(_json_real(level) for level in payload["levels"])
+    return fold_estimate(config, levels, pilot_results, replications)
+
+
 def _cache_fetch(cache: ResultCache, key: str, decode: Callable[[Any], Any]) -> Any:
     """``decode`` of the entry under ``key``, or ``None`` on a (possibly
     reclassified) miss — the one cache read of the round loop."""
@@ -510,6 +595,60 @@ def _cache_fetch(cache: ResultCache, key: str, decode: Callable[[Any], Any]) -> 
 # ----------------------------------------------------------------------
 # The round loop
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Rules:
+    """Every option of one estimate or campaign, validated on construction.
+
+    :func:`estimate_protocol_lifetime` and
+    :func:`~repro.core.campaign.run_campaign` each build one from their
+    arguments; the round loop reads its stop rules, its tasks' fields
+    and its cache-key parts from it and from nowhere else.
+    ``build_kwargs`` is frozen to sorted ``(name, value)`` pairs, the
+    form every task carries.
+    """
+
+    trials: int
+    max_steps: int
+    batch_size: int
+    precision: Optional[float]
+    min_trials: int
+    max_trials: int
+    max_censored_fraction: float
+    estimator: str
+    splitting: "SplittingConfig | None"
+    scenario: "ScenarioSpec | None"
+    build_kwargs: tuple[tuple[str, Any], ...]
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.estimator not in ("mc", "splitting", "auto"):
+            raise ConfigurationError(
+                "estimator must be 'mc', 'splitting' or 'auto', got "
+                f"{self.estimator!r}"
+            )
+        if not 0.0 < self.max_censored_fraction <= 1.0:
+            raise ConfigurationError(
+                "max_censored_fraction must be in (0, 1], got "
+                f"{self.max_censored_fraction}"
+            )
+        if self.estimator == "splitting":
+            return
+        if self.precision is None:
+            if self.trials < 1:
+                raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+            return
+        if self.precision <= 0:
+            raise ConfigurationError(
+                f"precision must be positive, got {self.precision}"
+            )
+        if not 2 <= self.min_trials <= self.max_trials:
+            raise ConfigurationError(
+                "need 2 <= min_trials <= max_trials, got "
+                f"{self.min_trials}, {self.max_trials}"
+            )
+
+
 @dataclass(eq=False)
 class _Block:
     """One (spec × seed block) of a round: the unit of cache lookup and store.
@@ -549,11 +688,7 @@ class _Block:
 def _run_blocks(
     executor: "TaskExecutor",
     blocks: list[_Block],
-    *,
-    max_steps: int,
-    batch_size: int,
-    build_kwargs: dict,
-    scenario: "ScenarioSpec | None",
+    rules: _Rules,
     cache: Optional[ResultCache],
     on_outcomes: Optional[Callable[[Sequence[LifetimeOutcome]], None]],
 ) -> None:
@@ -567,13 +702,14 @@ def _run_blocks(
     the blocks still in flight.  ``on_outcomes`` observes every landed
     batch and every cache hit (live progress).
     """
-    frozen_kwargs = tuple(sorted(build_kwargs.items()))
     tasks: list[ProtocolTask] = []
     slots: list[tuple[_Block, int]] = []
     # The key parts every block shares, reduced to plain JSON once a round.
     shared = None
     if cache is not None:
-        shared = jsonable({"build_kwargs": build_kwargs, "scenario": scenario})
+        shared = jsonable(
+            {"build_kwargs": dict(rules.build_kwargs), "scenario": rules.scenario}
+        )
     with span("campaign.prepare", grid_points=len(blocks), trials=len(blocks[0].seeds)):
         for block in blocks:
             if cache is not None:
@@ -581,7 +717,7 @@ def _run_blocks(
                     _outcome_block_payload(
                         block.spec,
                         block.seeds,
-                        max_steps,
+                        rules.max_steps,
                         shared["build_kwargs"],
                         shared["scenario"],
                     )
@@ -593,16 +729,16 @@ def _run_blocks(
                     if on_outcomes is not None:
                         on_outcomes(cached)
                     continue
-            for batch in _batched(block.seeds, batch_size):
+            for batch in _batched(block.seeds, rules.batch_size):
                 slots.append((block, len(block.batches)))
                 block.batches.append(None)
                 tasks.append(
                     ProtocolTask(
                         spec=block.spec,
                         seeds=batch,
-                        max_steps=max_steps,
-                        build_kwargs=frozen_kwargs,
-                        scenario=scenario,
+                        max_steps=rules.max_steps,
+                        build_kwargs=rules.build_kwargs,
+                        scenario=rules.scenario,
                     )
                 )
             block.left = len(block.batches)
@@ -651,70 +787,26 @@ class _Point:
     reps: list = field(default_factory=list)
 
 
-def _check_options(
-    *,
-    trials: int,
-    batch_size: int,
-    precision: Optional[float],
-    min_trials: int,
-    max_trials: int,
-    max_censored_fraction: float,
-    estimator: str,
-) -> None:
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if estimator not in ("mc", "splitting", "auto"):
-        raise ConfigurationError(
-            f"estimator must be 'mc', 'splitting' or 'auto', got {estimator!r}"
-        )
-    if not 0.0 < max_censored_fraction <= 1.0:
-        raise ConfigurationError(
-            "max_censored_fraction must be in (0, 1], got "
-            f"{max_censored_fraction}"
-        )
-    if estimator == "splitting":
-        return
-    if precision is None:
-        if trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        return
-    if precision <= 0:
-        raise ConfigurationError(f"precision must be positive, got {precision}")
-    if not 2 <= min_trials <= max_trials:
-        raise ConfigurationError(
-            f"need 2 <= min_trials <= max_trials, got {min_trials}, {max_trials}"
-        )
-
-
-def _fold_block(
-    point: _Point,
-    block: _Block,
-    *,
-    max_steps: int,
-    precision: Optional[float],
-    min_trials: int,
-    max_trials: int,
-    max_censored_fraction: float,
-    estimator: str,
-) -> None:
+def _fold_block(point: _Point, block: _Block, rules: _Rules) -> None:
     """Fold one landed block into its point and apply the stop rules."""
     point.outcomes.extend(block.outcomes)
     point.lost = point.lost or block.lost
     point.next_seed += len(block.seeds)
     spec, outcomes = point.spec, point.outcomes
+    precision, limit = rules.precision, rules.max_censored_fraction
     converged = precision is None
-    if precision is not None and len(outcomes) >= min_trials:
+    if precision is not None and len(outcomes) >= rules.min_trials:
         estimate = _aggregate(spec, outcomes, converged=False)
-        if estimate.censored_fraction > max_censored_fraction:
+        if estimate.censored_fraction > limit:
             point.done = True
-            if estimator == "auto":
+            if rules.estimator == "auto":
                 point.split = True
                 return
             point.refused = CensoredPrecisionError(
                 f"{spec.label}: {estimate.censored} of {estimate.stats.n} "
-                f"protocol runs were censored at the {max_steps}-step "
+                f"protocol runs were censored at the {rules.max_steps}-step "
                 f"budget (fraction {estimate.censored_fraction:.2f} > "
-                f"{max_censored_fraction:.2f}); the requested precision "
+                f"{limit:.2f}); the requested precision "
                 "target is meaningless — raise max_steps or drop "
                 "precision=",
                 outcomes=tuple(outcomes),
@@ -731,14 +823,14 @@ def _fold_block(
             point.warned = True
         scale = max(abs(estimate.stats.mean), 1e-300)
         converged = estimate.stats.ci_halfwidth <= precision * scale
-    point.done = converged or point.next_seed >= max_trials
+    point.done = converged or point.next_seed >= rules.max_trials
     if not point.done or not outcomes:
         return  # still streaming, or every run was quarantined
     estimate = _aggregate(spec, outcomes, converged=converged)
     if (
         precision is None
-        and estimator == "auto"
-        and estimate.censored_fraction > max_censored_fraction
+        and rules.estimator == "auto"
+        and estimate.censored_fraction > limit
     ):
         point.split = True
     else:
@@ -748,19 +840,8 @@ def _fold_block(
 def _estimate_points(
     executor: "TaskExecutor",
     points: list[_Point],
-    *,
-    trials: int,
-    max_steps: int,
-    batch_size: int,
-    precision: Optional[float],
-    min_trials: int,
-    max_trials: int,
-    max_censored_fraction: float,
-    scenario: "ScenarioSpec | None",
-    cache: Optional[ResultCache],
-    estimator: str,
-    splitting: "SplittingConfig | None",
-    build_kwargs: dict,
+    rules: _Rules,
+    cache: Optional[ResultCache] = None,
     on_outcomes: Optional[Callable[[Sequence[LifetimeOutcome]], None]] = None,
 ) -> None:
     """The round loop behind every protocol estimate and campaign.
@@ -771,77 +852,60 @@ def _estimate_points(
     :data:`PRECISION_ROUND_SEEDS` — then folds every block into its
     point and applies the stop rules.  Points that leave the rounds for
     rare-event splitting (``estimator="splitting"``, or ``"auto"`` on a
-    censor-heavy point) then share two passes on the same executor —
-    every pilot task, then every replication — charged the Monte-Carlo
-    events they already spent.
+    censor-heavy point) then go through :func:`_split_points`.
 
     Results land on the points: ``estimate`` (left ``None`` when every
     run was quarantined), or ``refused`` for a precision point the
     ``"mc"`` estimator cannot report.  An interrupt still folds the
     blocks that landed before it propagates.
     """
-    _check_options(
-        trials=trials,
-        batch_size=batch_size,
-        precision=precision,
-        min_trials=min_trials,
-        max_trials=max_trials,
-        max_censored_fraction=max_censored_fraction,
-        estimator=estimator,
-    )
     for point in points:
-        point.split = point.done = estimator == "splitting"
+        point.split = point.done = rules.estimator == "splitting"
     active = [point for point in points if not point.done]
     while active:
         blocks = []
         for point in active:
-            stop = trials
-            if precision is not None:
-                stop = min(point.next_seed + PRECISION_ROUND_SEEDS, max_trials)
+            stop = rules.trials
+            if rules.precision is not None:
+                stop = min(point.next_seed + PRECISION_ROUND_SEEDS, rules.max_trials)
             seeds = point.seeds(start=point.next_seed, stop=stop)
             blocks.append(_Block(point.spec, seeds))
         try:
-            _run_blocks(
-                executor,
-                blocks,
-                max_steps=max_steps,
-                batch_size=batch_size,
-                build_kwargs=build_kwargs,
-                scenario=scenario,
-                cache=cache,
-                on_outcomes=on_outcomes,
-            )
+            _run_blocks(executor, blocks, rules, cache, on_outcomes)
         finally:
             with span("campaign.fold", grid_points=len(blocks)):
                 for point, block in zip(active, blocks):
                     if block.landed:
-                        _fold_block(
-                            point,
-                            block,
-                            max_steps=max_steps,
-                            precision=precision,
-                            min_trials=min_trials,
-                            max_trials=max_trials,
-                            max_censored_fraction=max_censored_fraction,
-                            estimator=estimator,
-                        )
+                        _fold_block(point, block, rules)
         active = [point for point in active if not point.done]
-
-    # Splitting: one pass runs every split point's pilot tasks, levels
-    # are placed per point, and a second pass runs every replication.
-    # A point is folded, and stored if whole, from the result callback
-    # as its last replication lands, so an interrupt loses only the
-    # points in flight.  Quarantined pilot batches and replications are
-    # skipped and the survivors folded (never cached); a point with
-    # none left is lost.
     needy = [point for point in points if point.split]
-    if not needy:
-        return
+    if needy:
+        _split_points(executor, needy, rules, cache, on_outcomes)
+
+
+def _split_points(
+    executor: "TaskExecutor",
+    points: list[_Point],
+    rules: _Rules,
+    cache: Optional[ResultCache],
+    on_outcomes: Optional[Callable[[Sequence[LifetimeOutcome]], None]],
+) -> None:
+    """The splitting passes of every point that left the rounds for them.
+
+    One pass runs every point's pilot tasks, levels are placed per
+    point, and a second pass runs every replication; each point is
+    charged the Monte-Carlo events it already spent.  A point is folded,
+    and stored if whole, from the result callback as its last
+    replication lands, so an interrupt loses only the points in flight.
+    Quarantined pilot batches and replications are skipped and the
+    survivors folded (never cached); a point with none left is lost.
+    """
     from ..rare import splitting as rare  # layering; runners resolve at call time
     from ..sim.rng import derive_seed
 
-    config = splitting or rare.SplittingConfig()
-    frozen_kwargs = tuple(sorted(build_kwargs.items()))
+    config = rules.splitting or rare.SplittingConfig()
+    max_steps, scenario = rules.max_steps, rules.scenario
+    build_kwargs = dict(rules.build_kwargs)
     pilot: list[tuple[_Point, Any]] = []  # (owner, task) per pilot task
     reps: list[tuple[_Point, int, Any]] = []  # (owner, slot, task)
 
@@ -875,25 +939,25 @@ def _estimate_points(
         survivors = [rep for rep in point.reps if not isinstance(rep, Quarantined)]
         folded = None
         if survivors:
-            folded = rare._fold(config, point.levels, point.pilot, survivors)
+            folded = rare.fold_estimate(config, point.levels, point.pilot, survivors)
             whole = (
                 len(point.pilot) == config.pilot_runs
                 and len(survivors) == config.replications
             )
             if whole and point.key is not None:
-                cache.store(point.key, rare._estimate_payload(folded, survivors))
+                cache.store(point.key, _estimate_payload(folded, survivors))
         finish(point, folded)
 
-    with span("campaign.prepare", estimator="splitting", grid_points=len(needy)):
-        for point in needy:
+    with span("campaign.prepare", estimator="splitting", grid_points=len(points)):
+        for point in points:
             spec, root = point.spec, point.seeds(start=0, stop=1)[0]
             if cache is not None:
                 point.key = cache.key_for(
-                    rare._splitting_key_payload(
+                    _splitting_key_payload(
                         spec, root, max_steps, build_kwargs, scenario, config
                     )
                 )
-                decode = partial(rare._estimate_from_payload, spec, config=config)
+                decode = partial(_estimate_from_payload, spec, config=config)
                 folded = _cache_fetch(cache, point.key, decode)
                 if folded is not None:
                     finish(point, folded)
@@ -906,7 +970,7 @@ def _estimate_points(
                     spec=spec,
                     seeds=batch,
                     max_steps=max_steps,
-                    build_kwargs=frozen_kwargs,
+                    build_kwargs=rules.build_kwargs,
                     scenario=scenario,
                     poll_fraction=config.poll_fraction,
                 )
@@ -914,7 +978,7 @@ def _estimate_points(
     if pilot:
         with span("campaign.dispatch", estimator="splitting", tasks=len(pilot)):
             results = executor.map(rare.run_pilot_task, [task for _, task in pilot])
-        with span("campaign.fold", estimator="splitting", grid_points=len(needy)):
+        with span("campaign.fold", estimator="splitting", grid_points=len(points)):
             for (point, _), batch in zip(pilot, results):
                 if not isinstance(batch, Quarantined):
                     point.pilot.extend(batch)
@@ -933,7 +997,7 @@ def _estimate_points(
                         levels=point.levels,
                         max_steps=max_steps,
                         trajectories=config.trajectories,
-                        build_kwargs=frozen_kwargs,
+                        build_kwargs=rules.build_kwargs,
                         scenario=scenario,
                         poll_fraction=config.poll_fraction,
                     )
@@ -1011,6 +1075,19 @@ def estimate_protocol_lifetime(
       would have been raised).  Events already spent on the abandoned
       Monte-Carlo rounds are charged to the estimate.
     """
+    rules = _Rules(
+        trials=trials,
+        max_steps=max_steps,
+        batch_size=batch_size,
+        precision=precision,
+        min_trials=min_trials,
+        max_trials=max_trials,
+        max_censored_fraction=max_censored_fraction,
+        estimator=estimator,
+        splitting=splitting,
+        scenario=scenario,
+        build_kwargs=tuple(sorted(build_kwargs.items())),
+    )
     if seed_for is None:
 
         def seeds(*, start: int, stop: int) -> list[int]:
@@ -1025,22 +1102,7 @@ def estimate_protocol_lifetime(
     with ExitStack() as stack:
         if executor is None:
             executor = stack.enter_context(TaskExecutor(workers))
-        _estimate_points(
-            executor,
-            [point],
-            trials=trials,
-            max_steps=max_steps,
-            batch_size=batch_size,
-            precision=precision,
-            min_trials=min_trials,
-            max_trials=max_trials,
-            max_censored_fraction=max_censored_fraction,
-            scenario=scenario,
-            cache=cache,
-            estimator=estimator,
-            splitting=splitting,
-            build_kwargs=build_kwargs,
-        )
+        _estimate_points(executor, [point], rules, cache)
     if point.refused is not None:
         raise point.refused
     if point.estimate is None:

@@ -15,15 +15,11 @@ in flight.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Mapping
 
 #: Shared default payload.  Handlers treat payloads as read-only, so an
 #: empty default can safely be one object instead of a dict per message.
 _EMPTY_PAYLOAD: Mapping[str, Any] = {}
-
-_MSG_IDS = itertools.count(1)
-_next_id = _MSG_IDS.__next__  # C-level counter, one call per message
 
 
 class Message:
@@ -38,11 +34,9 @@ class Message:
     payload:
         Message body; by convention a mapping of plain values, treated
         as immutable once the message is constructed.
-    msg_id:
-        Unique id assigned at construction (monotonically increasing).
     """
 
-    __slots__ = ("src", "dst", "mtype", "payload", "msg_id")
+    __slots__ = ("src", "dst", "mtype", "payload")
 
     def __init__(
         self,
@@ -55,7 +49,6 @@ class Message:
         self.dst = dst
         self.mtype = mtype
         self.payload = _EMPTY_PAYLOAD if payload is None else payload
-        self.msg_id = _next_id()
 
     def reply(self, mtype: str, payload: Mapping[str, Any] | None = None) -> "Message":
         """Build a response message addressed back to our sender.
@@ -75,9 +68,8 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(src={self.src!r}, dst={self.dst!r}, "
-            f"mtype={self.mtype!r}, payload={self.payload!r}, "
-            f"msg_id={self.msg_id})"
+            f"mtype={self.mtype!r}, payload={self.payload!r})"
         )
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"[{self.mtype} #{self.msg_id} {self.src}->{self.dst}]"
+        return f"[{self.mtype} {self.src}->{self.dst}]"

@@ -17,8 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.process import SimProcess
     from .network import Network
 
-_next_conn_id = 0
-
 
 class Connection:
     """A bidirectional stream between two processes.
@@ -34,7 +32,6 @@ class Connection:
     """
 
     __slots__ = (
-        "conn_id",
         "network",
         "initiator",
         "responder",
@@ -44,9 +41,6 @@ class Connection:
     )
 
     def __init__(self, network: "Network", initiator: str, responder: str) -> None:
-        global _next_conn_id
-        _next_conn_id += 1
-        self.conn_id = _next_conn_id
         self.network = network
         self.initiator = initiator
         self.responder = responder
@@ -67,11 +61,6 @@ class Connection:
         if self._sinks is None:
             self._sinks = {}
         self._sinks[endpoint] = process
-
-    def sink_for(self, endpoint: str) -> "SimProcess | None":
-        """The process handling ``endpoint``'s events, if overridden."""
-        sinks = self._sinks
-        return sinks.get(endpoint) if sinks is not None else None
 
     # ------------------------------------------------------------------
     def peer_of(self, name: str) -> str:
@@ -114,4 +103,4 @@ class Connection:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"
-        return f"<Connection #{self.conn_id} {self.initiator}<->{self.responder} {state}>"
+        return f"<Connection {self.initiator}<->{self.responder} {state}>"

@@ -29,7 +29,8 @@ An estimate is two waves:
 The round loop of :mod:`repro.core.experiment` runs each wave as one
 :class:`~repro.mc.executor.TaskExecutor` pass shared by every split
 point of a campaign; this module supplies the tasks, the level
-placement between the waves, the fold and the cache entry.
+placement between the waves and the fold (the waves' cache entry is
+encoded and decoded there, with every other cache format).
 
 Forked simulator states never cross a process boundary — they are not
 safely picklable, and they do not need to be: a replication is one
@@ -47,10 +48,15 @@ CI of :func:`repro.metrics.stats.splitting_probability`.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
+from ..core.experiment import (
+    LifetimeOutcome,
+    compose_deployment,
+    gc_paused,
+    outcome_from_deployment,
+)
 from ..errors import ConfigurationError
 from ..metrics.stats import (
     SplittingLevelStat,
@@ -67,7 +73,6 @@ from .levels import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.experiment import LifetimeOutcome
     from ..core.specs import SystemSpec
     from ..scenarios.spec import ScenarioSpec
 
@@ -209,8 +214,6 @@ def _new_trajectory(
     poll_fraction: float,
 ) -> Trajectory:
     """Compose, start and instrument one trajectory."""
-    from ..core.experiment import compose_deployment  # deferred: layering
-
     deployed = compose_deployment(
         spec, seed=seed, max_steps=max_steps, scenario=scenario, **build_kwargs
     )
@@ -263,8 +266,6 @@ class PilotTask:
 
     def run(self) -> tuple[tuple["LifetimeOutcome", float], ...]:
         """Per seed: the lifetime outcome plus the running max of Φ."""
-        from ..core.experiment import _run_until, outcome_from_deployment
-
         kwargs = dict(self.build_kwargs)
         horizon = self.max_steps * self.spec.period
         results = []
@@ -273,7 +274,8 @@ class PilotTask:
                 self.spec, seed, self.max_steps, kwargs, self.scenario,
                 self.poll_fraction,
             )
-            _run_until(trajectory.deployed, horizon)
+            with gc_paused():
+                trajectory.deployed.sim.run(until=horizon)
             outcome = outcome_from_deployment(
                 trajectory.deployed, seed, self.max_steps
             )
@@ -312,12 +314,7 @@ class SplittingTask:
     def run(self) -> SplittingReplication:
         kwargs = dict(self.build_kwargs)
         horizon = self.max_steps * self.spec.period
-        # Same GC rationale as run_protocol_lifetime — and deepcopy
-        # forking allocates in bursts that cyclic GC would scan in vain.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             trajectories = [
                 _new_trajectory(
                     self.spec,
@@ -353,9 +350,6 @@ class SplittingTask:
                         compromise_steps.append(min(steps, self.max_steps))
                     break
                 trajectories = self._resplit(crossers, stage)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return SplittingReplication(
             product=product,
             counts=tuple(counts),
@@ -387,8 +381,8 @@ def run_splitting_task(task: SplittingTask) -> SplittingReplication:
 
 
 # ----------------------------------------------------------------------
-# Level placement, fold and cache entry (the passes run in
-# repro.core.experiment's round loop)
+# Level placement and fold (the passes run in repro.core.experiment's
+# round loop)
 # ----------------------------------------------------------------------
 def place_levels(
     spec: "SystemSpec", config: SplittingConfig, pilot_maxima: Sequence[float]
@@ -415,7 +409,7 @@ def place_levels(
     return dedupe_levels(sorted(merged), config.min_gap)
 
 
-def _fold(
+def fold_estimate(
     config: SplittingConfig,
     levels: tuple[float, ...],
     pilot_results: Sequence[tuple["LifetimeOutcome", float]],
@@ -452,93 +446,3 @@ def _fold(
         products=tuple(rep.product for rep in replications),
         compromise_steps=tuple(compromise_steps),
     )
-
-
-def _splitting_key_payload(
-    spec: "SystemSpec",
-    root_seed: int,
-    max_steps: int,
-    build_kwargs: dict,
-    scenario: "ScenarioSpec | None",
-    config: SplittingConfig,
-) -> dict:
-    """Cache-key payload of one splitting estimate.
-
-    The estimator and its full level-placement configuration enter the
-    key (the level *values* are a deterministic function of the config
-    and the root seed, and are stored in the entry); the fan-out shape
-    never does.
-    """
-    return {
-        "kind": "rare_event_estimate",
-        "estimator": "splitting",
-        "spec": spec,
-        "root_seed": root_seed,
-        "max_steps": max_steps,
-        "build_kwargs": dict(build_kwargs),
-        "scenario": scenario,
-        "config": config.as_dict(),
-    }
-
-
-def _estimate_payload(
-    estimate: RareEventEstimate, replications: Sequence[SplittingReplication]
-) -> dict:
-    """JSON-ready cache entry: the raw waves, refolded on read."""
-    from ..core.experiment import _outcome_payload  # deferred: layering
-
-    return {
-        "levels": list(estimate.levels),
-        "pilot": [
-            [_outcome_payload(outcome), max_level]
-            for outcome, max_level in zip(
-                estimate.pilot_outcomes, estimate.pilot_max_levels
-            )
-        ],
-        "replications": [
-            {
-                "product": rep.product,
-                "counts": [list(pair) for pair in rep.counts],
-                "events": rep.events,
-                "compromise_steps": list(rep.compromise_steps),
-            }
-            for rep in replications
-        ],
-    }
-
-
-def _estimate_from_payload(
-    spec: "SystemSpec", payload: Any, config: SplittingConfig
-) -> RareEventEstimate:
-    """Rebuild a cached splitting estimate; raise on shape mismatch.
-
-    The fold is re-run from the stored waves, so a cached estimate is
-    bit-identical to a recomputed one by determinism of the fold.
-    """
-    from ..core.experiment import (  # deferred: layering
-        _json_int,
-        _json_real,
-        _outcome_from_entry,
-    )
-
-    if not isinstance(payload, dict):
-        raise ValueError("cached splitting entry is not a mapping")
-    pilot_results = [
-        (_outcome_from_entry(spec, entry), _json_real(max_level))
-        for entry, max_level in payload["pilot"]
-    ]
-    if len(pilot_results) != config.pilot_runs:
-        raise ValueError("cached splitting entry does not match the request")
-    replications = [
-        SplittingReplication(
-            product=_json_real(rep["product"]),
-            counts=tuple((_json_int(n), _json_int(k)) for n, k in rep["counts"]),
-            events=_json_int(rep["events"]),
-            compromise_steps=tuple(_json_int(s) for s in rep["compromise_steps"]),
-        )
-        for rep in payload["replications"]
-    ]
-    if len(replications) != config.replications:
-        raise ValueError("cached splitting entry does not match the request")
-    levels = tuple(_json_real(level) for level in payload["levels"])
-    return _fold(config, levels, pilot_results, replications)

@@ -197,9 +197,9 @@ class WorkloadSpec:
     (``arrival_rate`` requests per step each, a request unanswered
     after ``request_timeout_steps`` counted as a timeout);
     ``closed_loop`` installs one-at-a-time
-    :class:`~repro.core.clients.WorkloadClient` instances.  A closed
-    loop ignores ``arrival_rate`` and ``request_timeout_steps``: its
-    0.05 s think time and 0.6 s retry timeout are fixed.
+    :class:`~repro.core.clients.WorkloadClient` instances, whose 0.05 s
+    think time and 0.6 s retry timeout are fixed: a closed loop rejects
+    a non-default ``arrival_rate`` or ``request_timeout_steps``.
     """
 
     kind: str = "none"
@@ -223,6 +223,15 @@ class WorkloadSpec:
             raise ConfigurationError(
                 "request_timeout_steps must be positive, got "
                 f"{self.request_timeout_steps}"
+            )
+        if self.kind == "closed_loop" and (
+            self.arrival_rate != WorkloadSpec.arrival_rate
+            or self.request_timeout_steps != WorkloadSpec.request_timeout_steps
+        ):
+            raise ConfigurationError(
+                "a closed_loop workload has a fixed think time and retry "
+                "timeout; arrival_rate and request_timeout_steps apply to "
+                "open_loop only"
             )
 
     @property

@@ -43,14 +43,6 @@ def test_reset_forgets_eliminations():
     assert len({tracker.next_guess() for _ in range(16)}) == 16
 
 
-def test_eliminate_marks_externally_observed_guesses():
-    tracker = make_tracker(entropy=4)
-    tracker.eliminate(5)
-    guesses = [tracker.next_guess() for _ in range(15)]
-    assert 5 not in guesses
-    assert sorted(guesses + [5]) == list(range(16))
-
-
 def test_order_randomized_per_seed():
     a = [make_tracker(seed=1).next_guess() for _ in range(1)]
     sequences = set()

@@ -173,9 +173,8 @@ def test_cold_store_is_byte_identical_to_the_older_one(tmp_path):
 
 def test_keys_match_their_pinned_literals():
     # Imported here: write_fixture runs this module against older trees.
-    from repro.core.experiment import _outcome_block_payload
+    from repro.core.experiment import _outcome_block_payload, _splitting_key_payload
     from repro.mc.executor import derive_point_seeds
-    from repro.rare.splitting import _splitting_key_payload
 
     cache = ResultCache("unused")
     spec = campaign_grid(

@@ -67,6 +67,20 @@ def test_workload_coexists_with_attack():
     assert isinstance(outcome, LifetimeOutcome)
 
 
+def test_workload_flag_conflicts_with_a_scenario():
+    """A scenario declares its own traffic: ``with_workload=True`` beside
+    it is refused rather than silently ignored."""
+    from repro.core.experiment import compose_deployment
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario("paper-baseline")
+    spec = scenario.grid()[0]
+    with pytest.raises(ConfigurationError, match="declares its own traffic"):
+        compose_deployment(spec, scenario=scenario, with_workload=True)
+    with pytest.raises(ConfigurationError, match="declares its own traffic"):
+        run_protocol_lifetime(spec, scenario=scenario, with_workload=True)
+
+
 # ----------------------------------------------------------------------
 # Parallel estimation: worker/batch invariance
 # ----------------------------------------------------------------------
@@ -123,25 +137,6 @@ def test_estimate_exposes_censoring_summary():
     assert estimate.censoring.is_lower_bound
     assert estimate.km_mean_steps == 5.0
     assert estimate.mean_steps == 5.0  # the budget, i.e. a lower bound
-
-
-def test_old_style_construction_derives_censoring_summary():
-    """The pre-campaign 4-field constructor stays usable: the censoring
-    summary is derived from the outcomes."""
-    from repro.core.experiment import LifetimeEstimate
-    from repro.metrics.stats import summarize
-
-    spec = s1(Scheme.SO, alpha=0.2, entropy_bits=6)
-    outcomes = tuple(run_protocol_lifetime(spec, seed=s, max_steps=40) for s in (0, 1))
-    estimate = LifetimeEstimate(
-        spec=spec,
-        stats=summarize([float(o.steps) for o in outcomes]),
-        censored=0,
-        outcomes=outcomes,
-    )
-    assert estimate.censoring is not None
-    assert estimate.km_mean_steps >= 0.0
-    assert estimate.censoring.n == 2
 
 
 def test_precision_mode_converges_and_reports_ci():

@@ -245,7 +245,7 @@ def test_guess_buffer_replays_exact_unbuffered_sequence():
     assert _interleaved_guesses(buffered=True) == _interleaved_guesses(buffered=False)
 
 
-def test_guess_buffer_headroom_never_strands_values_at_shuffle():
+def test_guess_buffer_headroom_never_strands_values_at_shuffle(monkeypatch):
     """Directed check of the invariant the buffer's correctness rests
     on: whenever a pool materializes, the shared buffer is empty."""
     keyspace = KeySpace(5)  # 32 keys
@@ -253,9 +253,18 @@ def test_guess_buffer_headroom_never_strands_values_at_shuffle():
     buffer = GuessBuffer(rng, keyspace.size, chunk=64)  # chunk > threshold
     pool = KeyGuessTracker(keyspace, rng, buffer=buffer)
     buffer.register(pool)
+    buffered_at_shuffle = []
+    materialize = KeyGuessTracker._materialize
+
+    def recording(tracker):
+        buffered_at_shuffle.append(len(buffer))
+        materialize(tracker)
+
+    monkeypatch.setattr(KeyGuessTracker, "_materialize", recording)
     for _ in range(keyspace.size):
         pool.next_guess()  # crosses the shuffle threshold mid-way
     assert pool.exhausted
+    assert buffered_at_shuffle == [0]
 
 
 # ----------------------------------------------------------------------

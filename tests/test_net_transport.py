@@ -23,7 +23,7 @@ class Endpoint(SimProcess):
         self.data.append(payload)
 
     def on_connection_closed(self, connection) -> None:
-        self.closed.append(connection.conn_id)
+        self.closed.append(connection)
 
 
 def make_pair():
@@ -72,7 +72,7 @@ def test_crash_closes_connection_and_notifies_peer():
     b.crash()
     assert not conn.open
     sim.run()
-    assert a.closed == [conn.conn_id]
+    assert a.closed == [conn]
 
 
 def test_explicit_close_notifies_only_peer():
@@ -80,7 +80,7 @@ def test_explicit_close_notifies_only_peer():
     conn = net.connect("a", "b")
     conn.close(closed_by="a")
     sim.run()
-    assert b.closed == [conn.conn_id]
+    assert b.closed == [conn]
     assert a.closed == []
 
 
@@ -125,7 +125,7 @@ def test_sink_redirects_events():
     assert a.data == []
     b.crash()
     sim.run()
-    assert shell.closed == [conn.conn_id]
+    assert shell.closed == [conn]
     assert a.closed == []
 
 

@@ -158,22 +158,6 @@ def test_tracker_enumerates_whole_space_without_repeats(entropy, seed):
     assert sorted(guesses) == list(range(size))
 
 
-@given(
-    entropy=st.integers(3, 8),
-    seed=st.integers(0, 100),
-    eliminated=st.sets(st.integers(0, 7), max_size=5),
-)
-@settings(max_examples=25, deadline=None)
-def test_tracker_respects_external_eliminations(entropy, seed, eliminated):
-    tracker = KeyGuessTracker(KeySpace(entropy), random.Random(seed))
-    for key in eliminated:
-        tracker.eliminate(key)
-    remaining = (1 << entropy) - len(eliminated)
-    guesses = [tracker.next_guess() for _ in range(remaining)]
-    assert not (set(guesses) & eliminated)
-    assert len(set(guesses)) == remaining
-
-
 # ----------------------------------------------------------------------
 # Crypto invariants
 # ----------------------------------------------------------------------

@@ -66,9 +66,9 @@ def _outcome_view(outcome):
 
 
 def _finish(trajectory, seed, max_steps):
-    from repro.core.experiment import _run_until, outcome_from_deployment
+    from repro.core.experiment import outcome_from_deployment
 
-    _run_until(trajectory.deployed, max_steps * trajectory.deployed.spec.period)
+    trajectory.deployed.sim.run(until=max_steps * trajectory.deployed.spec.period)
     return outcome_from_deployment(trajectory.deployed, seed, max_steps)
 
 

@@ -298,6 +298,16 @@ def test_closed_loop_workload_uses_stock_clients():
     assert len(deployed.clients) == 2
 
 
+def test_closed_loop_workload_rejects_open_loop_fields():
+    """A closed loop's think time and timeout are fixed, so the two
+    open-loop fields are refused rather than silently ignored."""
+    with pytest.raises(ConfigurationError, match="open_loop only"):
+        WorkloadSpec(kind="closed_loop", arrival_rate=8.0)
+    with pytest.raises(ConfigurationError, match="open_loop only"):
+        WorkloadSpec(kind="closed_loop", request_timeout_steps=0.5)
+    WorkloadSpec(kind="open_loop", arrival_rate=8.0, request_timeout_steps=0.5)
+
+
 # ----------------------------------------------------------------------
 # Fast-forward gating (acceptance: provably inert under faults/workload)
 # ----------------------------------------------------------------------
