@@ -28,13 +28,18 @@ from __future__ import annotations
 import cProfile
 import gc
 import pstats
+import random
 import time
 
+from repro.attacker.agent import AttackerProcess
 from repro.core.experiment import run_protocol_lifetime
 from repro.core.specs import s2
 from repro.core.timing import TimingSpec
+from repro.net.latency import FixedLatency
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.randomization.keyspace import KeySpace
+from repro.randomization.node import RandomizedProcess
 from repro.randomization.obfuscation import Scheme
 from repro.reporting.tables import render_table
 from repro.sim.engine import Simulator
@@ -51,6 +56,10 @@ TIMING_PRESET = "paper"
 KERNEL_EVENTS = 150_000
 KERNEL_TIMERS = 200
 MESSAGES = 60_000
+PROBES = 60_000
+#: Probe-cycle key space: 2^30 keys, so the stream almost surely never
+#: hits the key and every probe is a crash (the seed fixes the outcome).
+PROBE_ENTROPY = 30
 
 RUN_SEEDS = 20  # seeds per timing rep
 RUN_REPS = 5  # timing reps (max taken: shields against runner noise)
@@ -105,6 +114,32 @@ def _bench_messages(n: int) -> float:
     return network.messages_delivered / elapsed
 
 
+def _bench_probe_cycle(probes: int) -> float:
+    """ns per direct-probe cycle: fire → deliver → crash → respawn.
+
+    ω = 100 probes per unit step, 1 ms latency and a 2 ms respawn
+    delay: the target is back up before each next probe, so every
+    probe reconnects, crashes the target and tears the connection down.
+    """
+    sim = Simulator(seed=1)
+    network = Network(sim, latency=FixedLatency(0.001))
+    attacker = AttackerProcess(sim, network, KeySpace(PROBE_ENTROPY), omega=100.0)
+    target = RandomizedProcess(
+        sim, "victim", KeySpace(PROBE_ENTROPY), random.Random(2), respawn_delay=0.002
+    )
+    network.register(attacker)
+    network.register(target)
+    driver = attacker.attack_direct(target)
+    gc.disable()  # as protocol runs do
+    try:
+        start = time.perf_counter()
+        sim.run(until=probes / 100.0)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    return elapsed / driver.probes_sent * 1e9
+
+
 # ----------------------------------------------------------------------
 # Single-run protocol speed
 # ----------------------------------------------------------------------
@@ -141,11 +176,13 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
     """Kernel, messaging and single-run protocol speed of the engine."""
     kernel_events = scale_trials(KERNEL_EVENTS, floor=10_000)
     messages = scale_trials(MESSAGES, floor=5_000)
+    probes = scale_trials(PROBES, floor=5_000)
     run_seeds = max(4, scale_trials(RUN_SEEDS, floor=4))
     run_reps = 1 if smoke else RUN_REPS
 
     kernel_eps = _bench_kernel(kernel_events)
     mps = _bench_messages(messages)
+    probe_ns = _bench_probe_cycle(probes)
 
     spec = s2(Scheme.SO, alpha=ALPHA, kappa=KAPPA, entropy_bits=ENTROPY)
     timing = TimingSpec.named(TIMING_PRESET)
@@ -172,6 +209,8 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
             },
             "kernel_events_per_sec": kernel_eps,
             "messages_per_sec": mps,
+            "probe_cycle_ns": probe_ns,
+            "probe_cycle_probes": probes,
             "runs_per_sec": rps,
             "profile_top10": hotspots,
         },
@@ -188,6 +227,7 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
                     f"{AB_SPEEDUPS['kernel']:.2f}x",
                 ],
                 ["messages/sec", f"{mps:,.0f}", f"{AB_SPEEDUPS['messages']:.2f}x"],
+                ["ns per probe cycle", f"{probe_ns:,.0f}", "-"],
                 ["S2SO runs/sec", f"{rps:.1f}", f"{AB_SPEEDUPS['runs']:.2f}x"],
             ],
             title=(

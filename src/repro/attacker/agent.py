@@ -368,17 +368,6 @@ class AttackerProcess(SimProcess):
     # ------------------------------------------------------------------
     # Event routing
     # ------------------------------------------------------------------
-    def register_connection(self, connection: Connection, driver: ProbeDriver) -> None:
-        """Bind a connection's events to the driver that opened it.
-
-        Launch-pad connections are initiated under the proxy's address;
-        the attacker attaches himself as the event sink (his shell on the
-        proxy receives the traffic).
-        """
-        self._by_connection[connection] = driver
-        if driver.initiator != self.name:
-            connection.attach_sink(driver.initiator, self)
-
     def handle_connection_data(self, connection: Connection, payload) -> None:
         driver = self._by_connection.get(connection)
         if driver is not None:
@@ -387,12 +376,15 @@ class AttackerProcess(SimProcess):
     def unregister_connection(self, connection: Connection) -> None:
         """Drop the routing entry of a dead connection.
 
-        Drivers drop the entry when they abandon a closed connection:
-        through this method on stop, inline in ``ProbeDriver._fire`` on
-        reconnect.  The attacker deliberately does *not* override
-        ``on_connection_closed``: a probe driver discovers the
-        closure itself by checking ``connection.open`` at its next fire,
-        so a per-crash closure notification event would carry no
+        Drivers add the entry when they open a connection (inline in
+        ``ProbeDriver._fire``, which also attaches the attacker as the
+        initiating host's sink for launch-pad and agent streams) and
+        drop it when they abandon a closed one: through this method on
+        stop, inline in ``ProbeDriver._fire`` on reconnect.  The
+        attacker deliberately does *not* override
+        ``on_connection_closed``: a probe driver discovers the closure
+        itself by checking ``connection.open`` at its next fire, so a
+        per-crash closure notification event would carry no
         information — and the network elides notifications that would
         only reach the base no-op handler.
         """

@@ -4,7 +4,11 @@
 rate (ω probes per unit time-step, i.e. one probe every ``period/ω``).
 It reconnects when the target's crash closes the connection — relying on
 the forking daemon to resurrect the victim — and reports intrusion on an
-``intrusion_ack``.
+``intrusion_ack``.  Its fire is the hot loop of the direct attack: the
+target is resolved once, a reconnect is one
+:meth:`~repro.net.network.Network.connect_process` call, and a probe is
+one :meth:`~repro.net.network.Network.deliver_probe_to` event carrying
+the bare guess.
 
 :class:`IndirectProber` is the 2-tier counterpart: it crafts probes as
 client requests and submits them through the proxies (rotating across
@@ -36,7 +40,8 @@ class ProbeDriver:
     attacker:
         The orchestrating attacker process (receives connection events).
     target:
-        Name of the node under attack.
+        Name of the node under attack, registered on the attacker's
+        network (it is resolved once, here).
     pool:
         Guess tracker of the target's randomization instance.
     interval:
@@ -55,11 +60,12 @@ class ProbeDriver:
         "connection",
         "active",
         "probes_sent",
-        "reconnects",
         "_last_guess",
         "_schedule_fast",
         "_net",
         "_target_process",
+        "_deliver_probe",
+        "_refire",
     )
 
     def __init__(
@@ -80,11 +86,15 @@ class ProbeDriver:
         self.connection: Optional[Connection] = None
         self.active = False
         self.probes_sent = 0
-        self.reconnects = 0
         self._last_guess: Optional[int] = None
         self._schedule_fast = attacker.sim.schedule_fast  # per-probe hot call
         self._net = attacker.network
-        self._target_process = None  # bound at first successful connect
+        # The registry is append-only: resolve once, reconnect and
+        # deliver by object reference from then on.
+        self._target_process = self._net.process(target)
+        # Bound once, not per probe: the two callbacks every fire schedules.
+        self._deliver_probe = self._net.deliver_probe_to
+        self._refire = self._fire
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -119,22 +129,23 @@ class ProbeDriver:
             return
         connection = self.connection
         if connection is None or not connection.open:
+            by_connection = attacker._by_connection
             if connection is not None:
                 # The old stream died (its closure is our crash
                 # observation); retire its routing entry here instead of
                 # paying a notification event per crash
                 # (AttackerProcess.unregister_connection, inlined).
-                attacker._by_connection.pop(connection, None)
-            connection = self.connection = attacker.network.connect(
-                self.initiator, self.target
+                by_connection.pop(connection, None)
+            connection = self.connection = self._net.connect_process(
+                self.initiator, self._target_process
             )
             if connection is not None:
-                self.reconnects += 1
-                attacker.register_connection(connection, self)
-                if self._target_process is None:
-                    # The registry is append-only: resolve once, deliver
-                    # by object reference from then on.
-                    self._target_process = self._net.process(self.target)
+                # Route the connection's events to this driver.
+                by_connection[connection] = self
+                if self.initiator != attacker.name:
+                    # Launch-pad and agent streams: the attacker's shell
+                    # on the initiating host receives the traffic.
+                    connection.attach_sink(self.initiator, attacker)
         if connection is not None:
             if known is not None:
                 # Re-exploitation: recovery did not change the key, so
@@ -148,19 +159,18 @@ class ProbeDriver:
             # peer is always the target, and the per-probe delivery
             # event carries the bare guess (no payload to build or
             # parse) and is pushed without intermediate frames.
-            connection.bytes_exchanged += 1
             net = self._net
             fixed = net._fixed_delay
             self._schedule_fast(
                 fixed if fixed is not None else net.latency.sample(net._rng),
-                net.deliver_probe_to,
+                self._deliver_probe,
                 connection,
                 self._target_process,
                 guess,
             )
             self.probes_sent += 1
             attacker.probes_sent_direct += 1
-        self._schedule_fast(self.interval, self._fire)
+        self._schedule_fast(self.interval, self._refire)
 
     # -- events routed back by the attacker ------------------------------
     # (There is deliberately no on_closed hook: the driver observes a

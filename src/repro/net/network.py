@@ -14,11 +14,17 @@ Hot-path notes: every probe and protocol message crosses this file
 twice (send + deliver), so the common configuration — fixed latency, no
 partitions, no drops — is special-cased: the per-message cost is one
 dict lookup, one no-handle schedule, and no latency-model call at all.
+Delivery calls the receiver's :attr:`~repro.sim.process.SimProcess.MESSAGE_HANDLERS`
+entry directly; only receivers that override ``handle_message``
+(decided once, at registration) are called through it.  A crash tears
+down the endpoint's connections in one pass over its table, eliding
+each notification that would reach the base no-op
+``on_connection_closed`` and scheduling the rest.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from ..errors import NetworkError
 from ..sim.engine import Simulator
@@ -32,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _RUNNING = ProcessState.RUNNING
 _BASE_CLOSE_HANDLER = SimProcess.on_connection_closed
+_BASE_MESSAGE_HANDLER = SimProcess.handle_message
 
 
 class Network:
@@ -56,6 +63,7 @@ class Network:
         "_processes",
         "_aliases",
         "_close_notify",
+        "_handlers",
         "_connections",
         "_partitioned",
         "messages_sent",
@@ -87,6 +95,10 @@ class Network:
         #: (cached at registration): only these get closure events under
         #: the fixed-latency elision — see :meth:`connection_closed`.
         self._close_notify: set[str] = set()
+        #: Name → ``MESSAGE_HANDLERS`` table of each process that does
+        #: not override ``handle_message``; delivery to any other name
+        #: (an override, an alias) goes through ``handle_message``.
+        self._handlers: dict[str, Mapping] = {}
         #: Open connections per endpoint, as insertion-ordered dicts
         #: (values unused): crash teardown walks them in opening order,
         #: not in an order set by object addresses.
@@ -116,6 +128,12 @@ class Network:
             or "on_connection_closed" in process.__dict__
         ):
             self._close_notify.add(process.name)
+        cls = type(process)
+        if (
+            cls.handle_message is _BASE_MESSAGE_HANDLER
+            and "handle_message" not in process.__dict__
+        ):
+            self._handlers[process.name] = cls.MESSAGE_HANDLERS
         process.add_crash_listener(self._on_endpoint_down)
 
     def register_alias(self, alias: str, owner: str) -> None:
@@ -194,9 +212,10 @@ class Network:
         )
 
     def _deliver(self, message: Message) -> None:
-        process = self._processes.get(message.dst)
+        dst = message.dst
+        process = self._processes.get(dst)
         if process is None:
-            process = self._resolve(message.dst)
+            process = self._resolve(dst)
         if process is None or process.state is not _RUNNING:
             self.messages_dropped += 1
             return
@@ -205,12 +224,13 @@ class Network:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        process.handle_message(message)
-
-    def broadcast(self, src: str, dsts: list[str], mtype: str, payload: dict) -> None:
-        """Send one datagram with identical content to every name in ``dsts``."""
-        for dst in dsts:
-            self.send(Message(src=src, dst=dst, mtype=mtype, payload=payload))
+        table = self._handlers.get(dst)
+        if table is None:
+            process.handle_message(message)
+        else:  # SimProcess.handle_message, inlined
+            handler = table.get(message.mtype)
+            if handler is not None:
+                handler(process, message)
 
     def multicast(
         self, src: str, dsts: list[str], mtype: str, payload, strict: bool = True
@@ -267,7 +287,9 @@ class Network:
     def _deliver_multi(self, message: Message, dsts: list[str]) -> None:
         """Deliver one shared message to each group member in order."""
         processes = self._processes
+        tables = self._handlers
         src = message.src
+        mtype = message.mtype
         for dst in dsts:
             process = processes.get(dst)
             if process is None:
@@ -280,7 +302,13 @@ class Network:
                 self.messages_dropped += 1
                 continue
             self.messages_delivered += 1
-            process.handle_message(message)
+            table = tables.get(dst)
+            if table is None:
+                process.handle_message(message)
+            else:
+                handler = table.get(mtype)
+                if handler is not None:
+                    handler(process, message)
 
     # ------------------------------------------------------------------
     # Connections
@@ -295,8 +323,21 @@ class Network:
         if initiator not in processes:
             raise NetworkError(f"unknown initiator {initiator!r}")
         target = processes.get(responder)
-        if target is None or target.state is not _RUNNING:
+        if target is None:
             return None
+        return self.connect_process(initiator, target)
+
+    def connect_process(
+        self, initiator: str, target: SimProcess
+    ) -> Optional[Connection]:
+        """:meth:`connect` to an already resolved, registered ``target``.
+
+        ``initiator`` must be a registered name.  Probe drivers reconnect
+        at crash rate through this, with no name resolution.
+        """
+        if target.state is not _RUNNING:
+            return None
+        responder = target.name
         if self._partitioned and self.is_blocked(initiator, responder):
             return None
         allowed = target.allowed_connection_initiators  # admission, inlined
@@ -395,16 +436,35 @@ class Network:
     def _on_endpoint_down(self, process: SimProcess) -> None:
         """Crash/reboot/stop listener: tear down the endpoint's connections.
 
-        Runs once per probe-induced crash, so :meth:`Connection.close`
-        is inlined: each connection is marked closed and handed to
-        :meth:`connection_closed` (both ends notified), in the order the
-        connections were opened.  That call removes the connection from
-        the very dict being drained, hence the snapshot.
+        Runs once per probe-induced crash, so it does in one pass, in
+        opening order, what :meth:`connection_closed` does with
+        ``closed_by=None`` (same elision rule, initiator notified first),
+        and clears the crashed end's table once at the end.
         """
-        conns = self._connections.get(process.name)
-        if conns:
-            for connection in list(conns):
-                if connection.open:
-                    connection.open = False
-                    self.connection_closed(connection, None)
-            conns.clear()
+        name = process.name
+        connections = self._connections
+        conns = connections[name]
+        if not conns:
+            return
+        fixed = self._fixed_delay is not None
+        notify = self._close_notify
+        elided = 0
+        for connection in conns:
+            if not connection.open:
+                continue
+            connection.open = False
+            initiator = connection.initiator
+            responder = connection.responder
+            peer = responder if initiator == name else initiator
+            if peer != name:
+                connections[peer].pop(connection, None)
+            sinks = connection._sinks
+            for end in (initiator, responder):
+                if fixed and end not in notify and (sinks is None or end not in sinks):
+                    elided += 1
+                else:
+                    self.sim.schedule_fast(
+                        self._delay(), self._notify_closed, end, connection
+                    )
+        conns.clear()
+        self.events_elided += elided

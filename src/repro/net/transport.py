@@ -36,7 +36,6 @@ class Connection:
         "initiator",
         "responder",
         "open",
-        "bytes_exchanged",
         "_sinks",
     )
 
@@ -45,7 +44,6 @@ class Connection:
         self.initiator = initiator
         self.responder = responder
         self.open = True
-        self.bytes_exchanged = 0
         #: Lazily created: almost no connection has a sink override.
         self._sinks: Optional[dict[str, "SimProcess"]] = None
 
@@ -85,7 +83,6 @@ class Connection:
             peer = self.initiator
         else:
             raise ValueError(f"{sender} is not an endpoint of {self!r}")
-        self.bytes_exchanged += 1
         self.network.deliver_on_connection(self, peer, payload)
         return True
 

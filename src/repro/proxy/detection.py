@@ -71,7 +71,12 @@ def kappa_for_policy(
     An attacker able to complete ``omega`` probes per unit time-step of
     length ``period`` must pace indirect probes below the policy's
     sustainable rate; κ is the resulting fraction of his direct strength
-    (Definition 5 of the paper; κ is independent of the number of proxies).
+    (Definition 5 of the paper).  The bound is that of a single detection
+    log seeing the whole stream; the number of proxies is not an input.
+    In a deployment each :class:`~repro.proxy.proxy.ProxyNode` keeps its
+    own :class:`DetectionLog`, and
+    :class:`~repro.attacker.driver.IndirectProber` rotates its probes
+    across the proxies, so each log sees only its share of the stream.
     """
     if omega <= 0:
         raise ConfigurationError(f"omega must be positive, got {omega}")

@@ -95,9 +95,10 @@ class NameServer(SimProcess):
         self.directory = directory or Directory()
         self.lookups_served = 0
 
-    def handle_message(self, message: Message) -> None:
-        if message.mtype == NS_LOOKUP:
-            self.lookups_served += 1
-            self.network.send(
-                Message(self.name, message.src, NS_INFO, self.directory.as_payload())
-            )
+    def _on_lookup(self, message: Message) -> None:
+        self.lookups_served += 1
+        self.network.send(
+            Message(self.name, message.src, NS_INFO, self.directory.as_payload())
+        )
+
+    MESSAGE_HANDLERS = {NS_LOOKUP: _on_lookup}

@@ -101,14 +101,8 @@ class ProxyNode(RandomizedProcess):
         self.servers = list(servers)
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Message handling (the MESSAGE_HANDLERS table closes the class)
     # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        if message.mtype == CLIENT_REQUEST:
-            self._on_client_request(message)
-        elif message.mtype == SERVER_RESPONSE:
-            self._on_server_response(message)
-
     def _on_client_request(self, message: Message) -> None:
         payload = message.payload
         client = payload.get("client", message.src)
@@ -223,3 +217,8 @@ class ProxyNode(RandomizedProcess):
         """A rebooted proxy starts with an empty pending table; the
         detection log survives (it is long-horizon storage by design)."""
         self._pending.clear()
+
+    MESSAGE_HANDLERS = {
+        CLIENT_REQUEST: _on_client_request,
+        SERVER_RESPONSE: _on_server_response,
+    }

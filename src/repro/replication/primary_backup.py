@@ -204,17 +204,8 @@ class PBServer(RandomizedProcess):
             self._ensure_heartbeat()
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Message handling (the MESSAGE_HANDLERS table closes the class)
     # ------------------------------------------------------------------
-    #: Message-type → unbound handler, built once at class level (the
-    #: old per-message dict literal dominated the dispatch cost).
-    _DISPATCH: dict = {}
-
-    def handle_message(self, message: Message) -> None:
-        handler = self._DISPATCH.get(message.mtype)
-        if handler is not None:
-            handler(self, message)
-
     # -- requests -------------------------------------------------------
     def _on_request(self, message: Message) -> None:
         payload = message.payload
@@ -345,32 +336,23 @@ class PBServer(RandomizedProcess):
             self._ensure_heartbeat()
 
     # ------------------------------------------------------------------
-    # Lifecycle hooks.  (The direct connection-probe attack surface is
-    # inherited from RandomizedProcess.)
+    # Lifecycle.  (The direct connection-probe attack surface is
+    # inherited from RandomizedProcess.)  A respawned or rebooted
+    # replica catches up on missed state lazily, so it keeps the base
+    # no-op ``on_respawn`` and ``on_reboot_complete``: the next primary
+    # heartbeat (at most one ``heartbeat_interval`` away) advertises the
+    # current sequence number, and ``_on_heartbeat`` requests a sync only
+    # when we are actually behind.  A respawn that missed nothing — the
+    # common case under attack probing, where crashed primaries respawn
+    # at probe rate with no workload executing — then costs zero sync
+    # messages instead of a per-respawn request/response exchange with
+    # every peer.
     # ------------------------------------------------------------------
-    def on_respawn(self) -> None:
-        """After a forking-daemon respawn, catch up on missed state.
-
-        Lazily: the next primary heartbeat (at most one
-        ``heartbeat_interval`` away) advertises the current sequence
-        number, and ``_on_heartbeat`` requests a sync only when we are
-        actually behind.  A respawn that missed nothing — the common
-        case under attack probing, where crashed primaries respawn at
-        probe rate with no workload executing — then costs zero sync
-        messages instead of a per-respawn request/response exchange
-        with every peer."""
-
-    def on_reboot_complete(self) -> None:
-        """After recovery / re-randomization, catch up on missed state
-        (lazily, via the heartbeat staleness check — see
-        :meth:`on_respawn`)."""
-
-
-PBServer._DISPATCH = {
-    REQUEST: PBServer._on_request,
-    STATE_UPDATE: PBServer._on_state_update,
-    HEARTBEAT: PBServer._on_heartbeat,
-    NEW_PRIMARY: PBServer._on_new_primary,
-    SYNC_REQUEST: PBServer._on_sync_request,
-    SYNC_RESPONSE: PBServer._on_sync_response,
-}
+    MESSAGE_HANDLERS = {
+        REQUEST: _on_request,
+        STATE_UPDATE: _on_state_update,
+        HEARTBEAT: _on_heartbeat,
+        NEW_PRIMARY: _on_new_primary,
+        SYNC_REQUEST: _on_sync_request,
+        SYNC_RESPONSE: _on_sync_response,
+    }

@@ -117,6 +117,7 @@ class SMRReplica(RandomizedProcess):
         self.f = f
         self.request_timeout = request_timeout
         self.peers: list[str] = []
+        self._others: list[str] = []  # peers without us, for fan-outs
         self.view = 0
         self.next_seq = 0  # last seq this leader assigned
         self.executed_seq = 0
@@ -145,6 +146,7 @@ class SMRReplica(RandomizedProcess):
     def configure(self, peers: list[str]) -> None:
         """Install ordered membership and start the timeout ticker."""
         self.peers = list(peers)
+        self._others = [peer for peer in self.peers if peer != self.name]
         self._ordering = OrderingState(n=len(peers), f=self.f)
         if not self._ticker_started:
             self._ticker_started = True
@@ -167,17 +169,8 @@ class SMRReplica(RandomizedProcess):
         return bool(self.peers) and self.leader_name == self.name
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Message handling (the MESSAGE_HANDLERS table closes the class)
     # ------------------------------------------------------------------
-    #: Message-type → unbound handler, built once at module level (a
-    #: per-message dict literal would dominate the dispatch cost).
-    _DISPATCH: dict = {}
-
-    def handle_message(self, message: Message) -> None:
-        handler = self._DISPATCH.get(message.mtype)
-        if handler is not None:
-            handler(self, message)
-
     # -- client requests --------------------------------------------------
     def _on_request(self, message: Message) -> None:
         payload = message.payload
@@ -216,7 +209,7 @@ class SMRReplica(RandomizedProcess):
         }
         self.network.multicast(
             self.name,
-            [peer for peer in self.peers if peer != self.name],
+            self._others,
             PRE_PREPARE,
             payload,
         )
@@ -248,7 +241,7 @@ class SMRReplica(RandomizedProcess):
         payload = {"view": view, "seq": seq, "digest": digest}
         self.network.multicast(
             self.name,
-            [peer for peer in self.peers if peer != self.name],
+            self._others,
             phase,
             payload,
         )
@@ -341,7 +334,7 @@ class SMRReplica(RandomizedProcess):
         payload = {"new_view": new_view}
         self.network.multicast(
             self.name,
-            [peer for peer in self.peers if peer != self.name],
+            self._others,
             VIEW_CHANGE,
             payload,
         )
@@ -379,10 +372,9 @@ class SMRReplica(RandomizedProcess):
         # Runs at every respawn under probing: the request carries no
         # payload (Message shares one empty mapping).
         self._sync_reports.clear()
-        name, network = self.name, self.network
-        for peer in self.peers:
-            if peer != name and network.knows(peer):
-                network.send(Message(name, peer, SYNC_REQUEST))
+        name, send = self.name, self.network.send
+        for peer in self._others:
+            send(Message(name, peer, SYNC_REQUEST))
 
     def _on_sync_request(self, message: Message) -> None:
         """Answer with the memoized SYNC_RESPONSE payload.
@@ -460,13 +452,12 @@ class SMRReplica(RandomizedProcess):
     def on_reboot_complete(self) -> None:
         self._request_sync()
 
-
-SMRReplica._DISPATCH = {
-    REQUEST: SMRReplica._on_request,
-    PRE_PREPARE: SMRReplica._on_preprepare,
-    PREPARE: SMRReplica._on_prepare,
-    COMMIT: SMRReplica._on_commit,
-    VIEW_CHANGE: SMRReplica._on_view_change,
-    SYNC_REQUEST: SMRReplica._on_sync_request,
-    SYNC_RESPONSE: SMRReplica._on_sync_response,
-}
+    MESSAGE_HANDLERS = {
+        REQUEST: _on_request,
+        PRE_PREPARE: _on_preprepare,
+        PREPARE: _on_prepare,
+        COMMIT: _on_commit,
+        VIEW_CHANGE: _on_view_change,
+        SYNC_REQUEST: _on_sync_request,
+        SYNC_RESPONSE: _on_sync_response,
+    }

@@ -241,14 +241,17 @@ class Simulator:
         exhausted = False
         heap = self._heap
         pop = heapq.heappop
+        # Entry slots are indexed by literal (0 time, 2 fn, 3 args): a
+        # literal index is a constant load, the _TIME/_FN/_ARGS names a
+        # global lookup each, four times per event.
         try:
             while heap and not self._stopped:
                 entry = pop(heap)
-                fn = entry[_FN]
+                fn = entry[2]
                 if fn is None:  # cancelled: discard
                     self._cancelled_in_heap -= 1
                     continue
-                time = entry[_TIME]
+                time = entry[0]
                 if time > horizon or executed == budget:
                     # The entry goes back unchanged: (time, seq) keys
                     # are unique, so the pop order cannot change.  A
@@ -260,8 +263,8 @@ class Simulator:
                 # fn is cleared so a live Event handle's late cancel()
                 # sees a consumed entry (args may keep their reference:
                 # the entry itself is garbage after this pop).
-                entry[_FN] = None
-                fn(*entry[_ARGS])
+                entry[2] = None
+                fn(*entry[3])
                 executed += 1
         finally:
             self._running = False

@@ -23,7 +23,7 @@ semantics the previous copy-on-notify list implementation had.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, Optional
 
 from ..core.timing import DEFAULT_RESPAWN_DELAY
 from ..errors import SimulationError
@@ -86,6 +86,21 @@ class SimProcess:
         "_outage_saved_delay",
         "__dict__",  # subclasses carry protocol state of their own
     )
+
+    #: Message type → handler ``fn(self, message)``.  Types without an
+    #: entry are ignored.  :class:`repro.net.network.Network` calls the
+    #: entries directly unless the class or instance overrides
+    #: :meth:`handle_message`.
+    MESSAGE_HANDLERS: ClassVar[Mapping[str, Callable[[Any, "Message"], None]]] = {}
+
+    #: Whether the class overrides :meth:`on_respawn` (set once per
+    #: class): respawns run at probe rate, and most classes inherit the
+    #: no-op hook, whose call is then skipped.
+    _respawn_hook: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._respawn_hook = cls.on_respawn is not SimProcess.on_respawn
 
     def __init__(
         self,
@@ -195,7 +210,8 @@ class SimProcess:
         if listeners:
             for listener in listeners:
                 listener(self)
-        self.on_respawn()
+        if self._respawn_hook:
+            self.on_respawn()
 
     def revive(self) -> None:
         """Bring a crashed process back up (an operator action, used by
@@ -280,7 +296,10 @@ class SimProcess:
     # Hooks for subclasses
     # ------------------------------------------------------------------
     def handle_message(self, message: "Message") -> None:
-        """Handle a datagram delivered by the network.  Override me."""
+        """Handle a datagram: run its :attr:`MESSAGE_HANDLERS` entry."""
+        handler = self.MESSAGE_HANDLERS.get(message.mtype)
+        if handler is not None:
+            handler(self, message)
 
     def handle_connection_data(self, connection, payload) -> None:
         """Handle data arriving on an open connection.  Override me."""
@@ -289,7 +308,7 @@ class SimProcess:
         """Notification that a connection we are party to closed."""
 
     def on_respawn(self) -> None:
-        """Hook invoked after a forking-daemon respawn."""
+        """Hook invoked after a forking-daemon respawn (if overridden)."""
 
     def on_reboot_complete(self) -> None:
         """Hook invoked after a reboot completes."""

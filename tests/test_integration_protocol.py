@@ -103,7 +103,7 @@ def test_paced_attacker_evades_detection():
 
 def test_kappa_for_policy_matches_observed_sustainable_rate():
     """The analytic κ formula agrees with what the mechanism admits: an
-    attacker at exactly κ·ω stays clean, one at 3x that rate is caught."""
+    attacker paced at 0.9·κ·ω is blacklisted by no proxy."""
     policy = DetectionPolicy(window=10.0, threshold=20)
     omega = 51.2  # alpha=0.2 at chi=256
     kappa = kappa_for_policy(policy, omega=omega, period=1.0)

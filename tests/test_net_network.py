@@ -99,7 +99,7 @@ def test_broadcast_reaches_all():
     nodes = [Recorder(sim, f"n{i}") for i in range(4)]
     for node in nodes:
         net.register(node)
-    net.broadcast("n0", ["n1", "n2", "n3"], "hello", {"x": 1})
+    net.multicast("n0", ["n1", "n2", "n3"], "hello", {"x": 1})
     sim.run()
     assert all(len(n.received) == 1 for n in nodes[1:])
     assert nodes[0].received == []

@@ -241,14 +241,14 @@ def test_sync_digests_match_shipped_snapshots_under_attack(monkeypatch):
     client reports the digest of the snapshot it carries, and each
     replica hashes its state at most once per state change."""
     reports = []
-    adopt = SMRReplica._DISPATCH[SYNC_RESPONSE]
+    adopt = SMRReplica.MESSAGE_HANDLERS[SYNC_RESPONSE]
 
     def tap(replica, message):
         payload = message.payload
         reports.append((message.src, payload["digest"], payload["snapshot"]))
         adopt(replica, message)
 
-    monkeypatch.setitem(SMRReplica._DISPATCH, SYNC_RESPONSE, tap)
+    monkeypatch.setitem(SMRReplica.MESSAGE_HANDLERS, SYNC_RESPONSE, tap)
     changes = collections.Counter()
     for name in ("apply", "restore"):
         original = getattr(KVStoreService, name)
@@ -289,13 +289,13 @@ def test_sync_after_adopting_peer_state_reports_the_adopted_state(monkeypatch):
     """A replica that answered a sync (memoizing its digest) and then
     adopts a newer state from f + 1 peers reports the new state."""
     reports = []
-    adopt = SMRReplica._DISPATCH[SYNC_RESPONSE]
+    adopt = SMRReplica.MESSAGE_HANDLERS[SYNC_RESPONSE]
 
     def tap(replica, message):
         reports.append(message.payload)
         adopt(replica, message)
 
-    monkeypatch.setitem(SMRReplica._DISPATCH, SYNC_RESPONSE, tap)
+    monkeypatch.setitem(SMRReplica.MESSAGE_HANDLERS, SYNC_RESPONSE, tap)
     deployed = build_system(s0(Scheme.SO, alpha=0.05, entropy_bits=8), seed=3)
     deployed.start()
     replica, asker = deployed.servers[0], deployed.servers[1].name
@@ -352,7 +352,7 @@ def test_sync_payload_memo_is_fresh_and_never_mutated(monkeypatch):
 
     monkeypatch.setattr(Network, "send", recording_send)
     sent = []
-    answer = SMRReplica._DISPATCH[SYNC_REQUEST]
+    answer = SMRReplica.MESSAGE_HANDLERS[SYNC_REQUEST]
 
     def tap(replica, message):
         fresh = _fresh_sync_payload(replica)
@@ -361,7 +361,7 @@ def test_sync_payload_memo_is_fresh_and_never_mutated(monkeypatch):
         assert payload == fresh, f"{replica.name} sent a stale sync payload"
         sent.append((payload, copy.deepcopy(payload)))
 
-    monkeypatch.setitem(SMRReplica._DISPATCH, SYNC_REQUEST, tap)
+    monkeypatch.setitem(SMRReplica.MESSAGE_HANDLERS, SYNC_REQUEST, tap)
     deployed = build_system(s0(Scheme.SO, alpha=0.05, entropy_bits=8), seed=3)
     client = add_clients(deployed, 1)[0]
     attach_attacker(deployed)
