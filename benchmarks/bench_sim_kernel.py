@@ -4,13 +4,16 @@ PR 4 rewrote the innermost loop of the protocol simulator: list-entry
 event heap with no-handle scheduling, ``__slots__`` messaging with
 listener tuples and notification/sync/multicast event elision, epoch
 fast-forward for decided runs, and chunked attacker RNG pulls.  This
-bench records the current engine's speed on that path, in three parts:
+bench records the current engine's speed on that path, in five parts:
 
 1. **Kernel micro** — events/sec through a self-rescheduling timer
    workload.
 2. **Messaging micro** — datagrams/sec through ``Network.send`` +
    delivery.
-3. **Single-run protocol speed** — runs/sec of full S2SO lifetimes on
+3. **Probe cycle** — ns per direct probe: fire, deliver, crash, respawn.
+4. **PB liveness tick** — ns per primary-backup heartbeat tick with its
+   multicast, the two backups' deliveries and one watchdog tick.
+5. **Single-run protocol speed** — runs/sec of full S2SO lifetimes on
    the paper configuration used throughout the bench suite (α = 0.15,
    κ = 0.5, χ = 2⁸, paper timing, 400-step budget).
 
@@ -35,12 +38,15 @@ from repro.attacker.agent import AttackerProcess
 from repro.core.experiment import run_protocol_lifetime
 from repro.core.specs import s2
 from repro.core.timing import TimingSpec
+from repro.crypto.signatures import SignatureAuthority
 from repro.net.latency import FixedLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.randomization.keyspace import KeySpace
 from repro.randomization.node import RandomizedProcess
 from repro.randomization.obfuscation import Scheme
+from repro.replication.primary_backup import PBServer
+from repro.replication.state_machine import KVStoreService
 from repro.reporting.tables import render_table
 from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
@@ -57,6 +63,7 @@ KERNEL_EVENTS = 150_000
 KERNEL_TIMERS = 200
 MESSAGES = 60_000
 PROBES = 60_000
+LIVENESS_TICKS = 60_000
 #: Probe-cycle key space: 2^30 keys, so the stream almost surely never
 #: hits the key and every probe is a crash (the seed fixes the outcome).
 PROBE_ENTROPY = 30
@@ -140,6 +147,48 @@ def _bench_probe_cycle(probes: int) -> float:
     return elapsed / driver.probes_sent * 1e9
 
 
+def _bench_pb_liveness(ticks: int) -> float:
+    """ns per PB liveness tick: one heartbeat tick, its multicast, the
+    two backups' ``_on_heartbeat`` deliveries and one watchdog tick.
+
+    Three servers, no requests: the timeout is three heartbeat
+    intervals, so the three watchdog chains together tick once per
+    heartbeat, and no view ever changes.
+    """
+    sim = Simulator(seed=1)
+    network = Network(sim, latency=FixedLatency(0.001))
+    authority = SignatureAuthority(random.Random(0))
+    names = [f"server-{i}" for i in range(3)]
+    servers = [
+        PBServer(
+            sim,
+            name,
+            i,
+            KeySpace(ENTROPY),
+            random.Random(i),
+            KVStoreService(),
+            authority,
+            network,
+            heartbeat_interval=0.05,
+            heartbeat_timeout=0.15,
+        )
+        for i, name in enumerate(names)
+    ]
+    for server in servers:
+        network.register(server)
+    for server in servers:
+        server.configure(names)
+    gc.disable()  # as protocol runs do
+    try:
+        start = time.perf_counter()
+        sim.run(until=ticks * 0.05)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    heartbeats = network.messages_sent // 2  # one multicast to two backups
+    return elapsed / heartbeats * 1e9
+
+
 # ----------------------------------------------------------------------
 # Single-run protocol speed
 # ----------------------------------------------------------------------
@@ -177,12 +226,14 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
     kernel_events = scale_trials(KERNEL_EVENTS, floor=10_000)
     messages = scale_trials(MESSAGES, floor=5_000)
     probes = scale_trials(PROBES, floor=5_000)
+    ticks = scale_trials(LIVENESS_TICKS, floor=5_000)
     run_seeds = max(4, scale_trials(RUN_SEEDS, floor=4))
     run_reps = 1 if smoke else RUN_REPS
 
     kernel_eps = _bench_kernel(kernel_events)
     mps = _bench_messages(messages)
     probe_ns = _bench_probe_cycle(probes)
+    tick_ns = _bench_pb_liveness(ticks)
 
     spec = s2(Scheme.SO, alpha=ALPHA, kappa=KAPPA, entropy_bits=ENTROPY)
     timing = TimingSpec.named(TIMING_PRESET)
@@ -211,6 +262,8 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
             "messages_per_sec": mps,
             "probe_cycle_ns": probe_ns,
             "probe_cycle_probes": probes,
+            "pb_liveness_tick_ns": tick_ns,
+            "pb_liveness_ticks": ticks,
             "runs_per_sec": rps,
             "profile_top10": hotspots,
         },
@@ -228,6 +281,7 @@ def bench_sim_kernel(save_table, save_json, scale_trials, smoke):
                 ],
                 ["messages/sec", f"{mps:,.0f}", f"{AB_SPEEDUPS['messages']:.2f}x"],
                 ["ns per probe cycle", f"{probe_ns:,.0f}", "-"],
+                ["ns per PB liveness tick", f"{tick_ns:,.0f}", "-"],
                 ["S2SO runs/sec", f"{rps:.1f}", f"{AB_SPEEDUPS['runs']:.2f}x"],
             ],
             title=(

@@ -12,7 +12,9 @@ scenario library:
   ``on_time / cycle_time · ω``, but the burst structure defeats
   detection thresholds calibrated on *sustained* rates — and the
   silent windows let respawned targets settle, so fewer probes are
-  wasted on mid-respawn downtime.
+  wasted on mid-respawn downtime.  Its fire runs once per probe, so it
+  calls the base fire as a plain function (no ``super()`` proxy) and
+  re-arms through the driver's bound ``_refire``.
 * :class:`CoordinatedAgent` — a cooperating attacker **machine**: a
   distinct network endpoint whose probe connections are opened under
   its own address while the orchestrating
@@ -30,6 +32,7 @@ probe stream, any worker count — carries over unchanged.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigurationError
@@ -51,7 +54,9 @@ class DutyCycledProbeDriver(ProbeDriver):
     exactly like its parent :class:`~repro.attacker.driver.ProbeDriver`
     (same pacing, same pool discipline, same reconnect behaviour);
     fires that land in an off-window consume no guess, no probe and no
-    RNG draw — they just sleep until the next window opens.
+    RNG draw — they just sleep until the next window opens (or, when
+    rounding puts that opening within half an ulp of now, until the
+    next float, so the clock always moves on).
 
     Parameters (beyond the parent's)
     --------------------------------
@@ -89,12 +94,23 @@ class DutyCycledProbeDriver(ProbeDriver):
     def _fire(self) -> None:
         if not self.active:
             return
-        phase = self.attacker.sim.now % self.cycle_time
+        sim = self.attacker.sim
+        now = sim.now
+        phase = now % self.cycle_time
         if phase >= self.on_time:
             # Off-window: sleep to the next cycle start, touch nothing.
-            self._schedule_fast(self.cycle_time - phase, self._fire)
+            # When ``now`` lies within half an ulp below a cycle start
+            # (``phase`` a hair under ``cycle_time``), ``now + sleep``
+            # rounds back to ``now`` and the stream would wake at the
+            # same instant forever; the next float lies past that start.
+            wake = now + (self.cycle_time - phase)
+            sim.schedule_at_fast(
+                wake if wake > now else math.nextafter(now, math.inf), self._refire
+            )
             return
-        super()._fire()
+        # The base fire, called as a plain function: this runs once per
+        # probe, and a ``super()`` proxy per call is measurable there.
+        ProbeDriver._fire(self)
 
 
 class CoordinatedAgent(SimProcess):

@@ -27,7 +27,9 @@ from .keys import KeyPair, generate_keypair
 def canonical_bytes(obj: Any) -> bytes:
     """Serialize ``obj`` to a canonical byte string for signing.
 
-    Dict keys are sorted; lists and tuples are equivalent; nested
+    Dict keys are sorted by ``repr`` (the order of a map whose keys are
+    all exact ``str`` is remembered per insertion-ordered key tuple);
+    lists and tuples are equivalent; nested
     :class:`Signed` envelopes serialize by their fields.  Unsupported
     types raise :class:`~repro.errors.CryptoError` rather than silently
     using an unstable ``repr``.
@@ -62,6 +64,36 @@ def _text(obj: Any) -> str:
 
 
 def _map_text(obj: Any) -> str:
+    keys = tuple(obj)
+    for key in keys:
+        if type(key) is not str:  # a subclass may hash and compare as a str
+            return _sorted_map_text(obj)
+    order = _STR_KEY_ORDER.get(keys)
+    if order is None:
+        order = _str_key_order(keys)
+    pieces = ["map{"]
+    append = pieces.append
+    for key, key_text in order:
+        append(key_text)
+        value = obj[key]
+        prefix = _SCALAR_PREFIX.get(type(value))
+        append(f"{prefix}{value!r};" if prefix is not None else _text(value))
+    append("}")
+    return "".join(pieces)
+
+
+def _str_key_order(keys: tuple) -> tuple:
+    """Sorted ``(key, key text)`` pairs of a tuple of exact-``str`` keys,
+    remembered under the tuple (the memo is emptied when full)."""
+    if len(_STR_KEY_ORDER) >= _STR_KEY_ORDER_LIMIT:
+        _STR_KEY_ORDER.clear()
+    order = _STR_KEY_ORDER[keys] = tuple(
+        (key, f"str:{key!r};=") for key in sorted(keys, key=repr)
+    )
+    return order
+
+
+def _sorted_map_text(obj: Any) -> str:
     pieces = ["map{"]
     append = pieces.append
     for key in sorted(obj, key=repr):
@@ -133,6 +165,13 @@ class Signed:
     signer: str
     signature: str
 
+
+#: Key order of the maps whose keys are all exact ``str``, by their
+#: insertion-ordered key tuple: the sorted keys with each key's text.
+#: Signed payloads repeat a few key sets, so the sort runs once per set;
+#: values are still encoded at every call.
+_STR_KEY_ORDER: dict[tuple, tuple] = {}
+_STR_KEY_ORDER_LIMIT = 1024
 
 #: Encoding prefix of each exactly-typed scalar (``bool`` is its own
 #: type, so ``True`` and ``1`` encode apart).
@@ -215,7 +254,8 @@ class SignatureAuthority:
         modelling compromise).
         """
         key = private if private is not None else self.private_key_of(owner)
-        return Signed(payload=payload, signer=owner, signature=self.tag(key, payload))
+        # tag(), inlined; positional fields (a keyword call costs more).
+        return Signed(payload, owner, _digest(key, _text(payload)))
 
     def _check(self, signer: str, text: str, signature: str) -> bool:
         """Whether ``signature`` is ``signer``'s registered tag of the

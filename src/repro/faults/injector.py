@@ -31,11 +31,13 @@ legal, not operator error):
   until the last overlapping window heals.
 
 Fault applies and expiries are fire-and-forget — nothing ever cancels
-them — so they ride the kernel's no-handle
-:meth:`~repro.sim.engine.Simulator.schedule_fast` path, and plans are
-validated up front at :meth:`FaultInjector.schedule_plan` time (sorted,
-inside the horizon, rates in range) instead of failing mid-run with the
-simulation half-executed.
+them — so no :class:`~repro.sim.engine.Event` handle is made for them:
+applies are pushed at their absolute times through
+:meth:`~repro.sim.engine.Simulator.schedule_at_fast`, expiries after
+their durations through :meth:`~repro.sim.engine.Simulator.schedule_fast`.
+A whole plan is pushed when it is scheduled, and it is validated first
+(sorted, inside the horizon, rates in range) instead of failing mid-run
+with the simulation half-executed.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ class FaultInjector:
         event is scheduled.
         """
         validate_plan(plan, now=self.sim.now, horizon=horizon)
+        push, apply = self.sim.schedule_at_fast, self._apply
         for fault in plan:
-            self.sim.schedule_at(fault.time, self._apply, fault)
+            push(fault.time, apply, fault)
 
     def schedule(self, fault: FaultEvent) -> None:
         """Validate and schedule one fault event."""
@@ -183,7 +186,7 @@ class FaultInjector:
                 f"fault at t={fault.time} is in the past (now={self.sim.now})"
             )
         _validate_event(fault)
-        self.sim.schedule_at(fault.time, self._apply, fault)
+        self.sim.schedule_at_fast(fault.time, self._apply, fault)
 
     # ------------------------------------------------------------------
     def _apply(self, fault: FaultEvent) -> None:

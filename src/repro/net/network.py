@@ -247,7 +247,10 @@ class Network:
         i.e. consecutively in ``dsts`` order — precisely how
         ``_deliver_multi`` walks the group.  Sampled-latency or lossy
         networks fall back to the loop (each message must draw its own
-        latency/loss there, in per-message order).
+        latency/loss there, in per-message order).  While no partition
+        is in force, a group of registered names is accepted in one
+        membership pass; aliases, unknown names and partitions take the
+        per-destination loop.
 
         ``strict`` keeps ``send``'s misconfiguration guard: an unknown
         destination raises.  Callers that previously filtered with
@@ -261,8 +264,23 @@ class Network:
                     self.send(Message(src=src, dst=dst, mtype=mtype, payload=payload))
             return
         processes = self._processes
-        aliases = self._aliases
         partitioned = self._partitioned
+        if not partitioned:
+            # The group is sent as a copy: the caller may reuse its list.
+            for dst in dsts:
+                if dst not in processes:
+                    break
+            else:
+                if dsts:
+                    self.messages_sent += len(dsts)
+                    self.sim.schedule_fast(
+                        self._fixed_delay,
+                        self._deliver_multi,
+                        Message(src, dsts[0], mtype, payload),
+                        list(dsts),
+                    )
+                return
+        aliases = self._aliases
         targets = []
         sent = 0
         for dst in dsts:
@@ -427,10 +445,6 @@ class Network:
             process = self._processes.get(name)
         if process is not None and process.state is _RUNNING:
             process.on_connection_closed(connection)
-
-    def connections_of(self, name: str) -> set[Connection]:
-        """Snapshot of the open connections of ``name``."""
-        return set(self._connections.get(name, ()))
 
     # ------------------------------------------------------------------
     def _on_endpoint_down(self, process: SimProcess) -> None:

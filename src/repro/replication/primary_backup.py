@@ -24,6 +24,16 @@ crashes the primary (the forking daemon then respawns it with the same
 key), the right guess compromises it.  This implements the paper's
 "probes are crafted as service requests" (§6) and the indirect attack
 path of FORTRESS.
+
+Hot paths
+---------
+The heartbeat tick, the watchdog tick and ``_on_request`` run at
+heartbeat and request rate.  They test primariness inline (the
+``is_primary`` property costs two frames) and read the running state
+from a module constant.  Proxies multicast every request to the whole
+tier, so a backup drops a request before it reads the payload.  The
+heartbeat chain resumes at its grid point through the kernel's no-handle
+:meth:`~repro.sim.engine.Simulator.schedule_at_fast`.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ from ..randomization.keyspace import KeySpace
 from ..randomization.node import RandomizedProcess
 from ..sim.engine import Simulator
 from ..sim.process import ProcessState
+
+#: Bound once: the liveness ticks read it at heartbeat rate, and a
+#: module global is cheaper than an enum class attribute.
+_RUNNING = ProcessState.RUNNING
 
 #: Request body ``op`` that triggers the randomized-code attack path.
 PROBE_OP = "__probe__"
@@ -161,36 +175,39 @@ class PBServer(RandomizedProcess):
             nxt += self.heartbeat_interval
         self._hb_next = nxt
         self._hb_scheduled = True
-        # schedule_at: the grid point must be hit exactly (now + (nxt -
-        # now) could differ from nxt in the last ulp).
-        self.sim.schedule_at(nxt, self._heartbeat_tick)
+        # An absolute time: the grid point must be hit exactly (now +
+        # (nxt - now) could differ from nxt in the last ulp).
+        self.sim.schedule_at_fast(nxt, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
         peers = self.peers
+        sim = self.sim
+        interval = self.heartbeat_interval
         if not (peers and peers[self.view % len(peers)] == self.name):  # demoted
             self._hb_scheduled = False
-            self._hb_next = self.sim.now + self.heartbeat_interval
+            self._hb_next = sim.now + interval
             return
-        if self.state is ProcessState.RUNNING:
+        if self.state is _RUNNING:
             # Heartbeats advertise the primary's sequence number so that
             # replicas which missed state updates (reboot, respawn) can
             # detect staleness and sync lazily — see ``_on_heartbeat``.
             self.network.multicast(
                 self.name, self._others, HEARTBEAT, {"view": self.view, "seq": self.seq}
             )
-        self._hb_next = self.sim.now + self.heartbeat_interval
-        self.sim.schedule_fast(self.heartbeat_interval, self._heartbeat_tick)
+        self._hb_next = sim.now + interval
+        sim.schedule_fast(interval, self._heartbeat_tick)
 
     def _watchdog_tick(self) -> None:
         peers = self.peers
+        sim = self.sim
         if (
-            self.state is ProcessState.RUNNING
+            self.state is _RUNNING
             and peers
             and peers[self.view % len(peers)] != self.name  # backup only
-            and self.sim.now - self.last_heartbeat > self.heartbeat_timeout
+            and sim.now - self.last_heartbeat > self.heartbeat_timeout
         ):
             self._advance_view()
-        self.sim.schedule_fast(self.heartbeat_timeout, self._watchdog_tick)
+        sim.schedule_fast(self.heartbeat_timeout, self._watchdog_tick)
 
     def _advance_view(self) -> None:
         """Primary appears dead: move to the next view; announce if we
@@ -208,15 +225,17 @@ class PBServer(RandomizedProcess):
     # ------------------------------------------------------------------
     # -- requests -------------------------------------------------------
     def _on_request(self, message: Message) -> None:
+        # Only the primary executes requests, probes included; a backup
+        # drops them unread.
+        peers = self.peers
+        if not (peers and peers[self.view % len(peers)] == self.name):
+            return
         payload = message.payload
         body = payload.get("body", {})
         if body.get("op") == PROBE_OP:
-            # The probe exercises the randomized code path of whichever
-            # replica processes it.  Only the primary executes requests.
-            if self.is_primary:
-                self.receive_probe(int(body.get("guess", -1)))
-            return
-        if not self.is_primary:
+            # The probe exercises the randomized code path of the
+            # primary that processes it.
+            self.receive_probe(int(body.get("guess", -1)))
             return
         request_id = payload["request_id"]
         reply_to = list(payload.get("reply_to", [payload.get("client", message.src)]))
@@ -295,7 +314,9 @@ class PBServer(RandomizedProcess):
             if payload.get("seq", 0) > self.seq:
                 # We missed state updates while down: catch up from the
                 # advertising primary (it provably holds that state).
-                self.network.send(Message(self.name, message.src, SYNC_REQUEST, {}))
+                # The request carries no payload (Message shares one
+                # empty mapping).
+                self.network.send(Message(self.name, message.src, SYNC_REQUEST))
 
     def _on_new_primary(self, message: Message) -> None:
         if message.payload["view"] > self.view:
@@ -305,9 +326,9 @@ class PBServer(RandomizedProcess):
 
     # -- state transfer ----------------------------------------------------
     def _request_sync(self) -> None:
-        for peer in self.peers:
-            if peer != self.name and self.network.knows(peer):
-                self.network.send(Message(self.name, peer, SYNC_REQUEST, {}))
+        name, send = self.name, self.network.send
+        for peer in self._others:
+            send(Message(name, peer, SYNC_REQUEST))
 
     def _on_sync_request(self, message: Message) -> None:
         self.network.send(

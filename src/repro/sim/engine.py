@@ -15,9 +15,11 @@ here, so single-run campaign throughput is bounded by this file):
   CPython's built-in C-level list free list — measurably faster than a
   Python-level entry-recycling pool (which was tried and removed), and
   no rich Python object is allocated per event;
-* :meth:`Simulator.schedule_fast` is a no-handle variant for the many
-  call sites that never cancel (message delivery, probe pacing,
-  respawns): no :class:`Event` handle is allocated at all;
+* :meth:`Simulator.schedule_fast` (relative delay) and
+  :meth:`Simulator.schedule_at_fast` (absolute time) are no-handle
+  variants for the many call sites that never cancel (message delivery,
+  probe pacing, respawns, fault plans): no :class:`Event` handle is
+  allocated at all;
 * :meth:`Simulator.run` pops the heap inline instead of peeking through
   a helper and re-popping in :meth:`Simulator.step`: it pops first and
   pushes back the one entry that lies past ``until`` (or past the event
@@ -154,6 +156,23 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         return Event(self, self._push(time, fn, args))
+
+    def schedule_at_fast(
+        self, time: float, fn: Callable[..., None], *args: Any
+    ) -> None:
+        """No-handle variant of :meth:`schedule_at`: schedule ``fn(*args)``
+        at absolute simulated ``time`` without allocating an :class:`Event`.
+
+        It pushes the same ``[time, seq, fn, args]`` entry
+        :meth:`schedule_at` does, for callers that never cancel (fault
+        plans, heartbeat grid points).
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, [time, seq, fn, args])
 
     def schedule_fast(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """No-handle fast path: schedule ``fn(*args)`` ``delay`` from now.

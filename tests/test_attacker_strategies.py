@@ -8,9 +8,15 @@ dead-stream bookkeeping the epoch fast-forward relies on.
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.attacker import strategies
 from repro.attacker.agent import AttackerProcess
+from repro.attacker.driver import ProbeDriver
 from repro.attacker.strategies import DutyCycledProbeDriver
 from repro.core.builders import build_system
 from repro.core.specs import s1, s2
@@ -66,35 +72,129 @@ def test_duty_cycle_throttles_long_run_rate():
     assert probes(True) == half  # deterministic
 
 
+def _run_recording_probes(deployed, attacker, driver, until, budget=100_000):
+    """Step the run up to ``until`` and return ``(time, guess)`` of every
+    probe ``driver`` sends, read from the attacker's probe counter.  A
+    clock that stalls fails within ``budget`` events."""
+    sim = deployed.sim
+    probes: list[tuple[float, int]] = []
+    sent = attacker.probes_sent_direct
+    for _ in range(budget):
+        if not sim.step() or sim.now >= until:
+            return probes
+        if attacker.probes_sent_direct != sent:
+            assert attacker.probes_sent_direct == sent + 1
+            sent = attacker.probes_sent_direct
+            probes.append((sim.now, driver._last_guess))
+    raise AssertionError(f"the clock stalled at t={sim.now}")
+
+
 def test_duty_cycle_probes_only_inside_on_windows():
     """Every probe timestamp falls in [k*cycle, k*cycle + on_time)."""
     spec = s1(Scheme.SO, alpha=0.3, entropy_bits=8)
     deployed, attacker = _arena(spec)
-    fired: list[float] = []
     driver = attacker.attack_direct_duty_cycled(
         deployed.servers[0],
         on_fraction=0.25,
         cycle_periods=2.0,
         pool_id="server-tier",
     )
-    original = DutyCycledProbeDriver._fire
-
-    def recording_fire(self):
-        before = self.probes_sent
-        original(self)
-        if self.probes_sent > before:
-            fired.append(self.attacker.sim.now)
-
-    driver._fire  # bound; patch at class level for the slotted instance
-    DutyCycledProbeDriver._fire = recording_fire
-    try:
-        deployed.start()
-        deployed.sim.run(until=8.0)
-    finally:
-        DutyCycledProbeDriver._fire = original
-    assert fired
-    for t in fired:
+    deployed.start()
+    probes = _run_recording_probes(deployed, attacker, driver, until=8.0)
+    assert len(probes) > 4  # several windows' worth, not one burst
+    assert {int(t // 2.0) for t, _ in probes} == {0, 1, 2, 3}
+    for t, _ in probes:
         assert t % 2.0 < 0.5 + 1e-9  # on_time = 0.25 * 2.0 periods = 0.5
+
+
+class SuperDutyCycledProbeDriver(ProbeDriver):
+    """Reference: the duty-cycled driver that reached the base fire
+    through ``super()`` and slept off-windows through ``self._fire``.
+
+    Its off-window sleep carries the rounding guard of the driver under
+    test (see ``test_duty_cycle_wakes_past_a_cycle_start_lost_to_rounding``):
+    without it, cycles such as 0.3 stall the clock and no run ends.
+    """
+
+    __slots__ = ("on_time", "cycle_time")
+
+    def __init__(
+        self, attacker, target, pool, interval, on_time, cycle_time, initiator=None
+    ):
+        super().__init__(attacker, target, pool, interval, initiator)
+        self.on_time = on_time
+        self.cycle_time = cycle_time
+
+    def _fire(self):
+        if not self.active:
+            return
+        now = self.attacker.sim.now
+        phase = now % self.cycle_time
+        if phase >= self.on_time:
+            wake = now + (self.cycle_time - phase)
+            if wake == now:
+                wake = math.nextafter(now, math.inf)
+            self.attacker.sim.schedule_at(wake, self._fire)
+            return
+        super()._fire()
+
+
+@given(
+    rate=st.floats(min_value=2.0, max_value=40.0),
+    on_fraction=st.floats(min_value=0.05, max_value=1.0),
+    cycle_periods=st.floats(min_value=0.2, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=50),
+)
+@settings(max_examples=100, deadline=None)
+def test_duty_cycle_probes_match_the_super_call_reference(
+    rate, on_fraction, cycle_periods, seed
+):
+    """Probe times and guesses equal the reference driver's, and every
+    probe lies inside an on-window, over random pacing and cycles."""
+    spec = s1(Scheme.SO, alpha=0.3, entropy_bits=8)
+
+    def probes(driver_class):
+        deployed, attacker = _arena(spec, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(strategies, "DutyCycledProbeDriver", driver_class)
+            driver = attacker.attack_direct_duty_cycled(
+                deployed.servers[0],
+                on_fraction=on_fraction,
+                cycle_periods=cycle_periods,
+                pool_id="server-tier",
+                rate=rate,
+            )
+        assert type(driver) is driver_class
+        deployed.start()
+        return driver, _run_recording_probes(deployed, attacker, driver, until=3.0)
+
+    driver, got = probes(DutyCycledProbeDriver)
+    _, want = probes(SuperDutyCycledProbeDriver)
+    assert got == want
+    assert got
+    for t, _ in got:
+        assert t % driver.cycle_time < driver.on_time
+
+
+def test_duty_cycle_wakes_past_a_cycle_start_lost_to_rounding():
+    """0.9 % 0.3 is a hair under 0.3, so the sleep to the next cycle start
+    rounds back to 0.9: the stream must still move the clock on and
+    probe in the window that opens there."""
+    assert 0.8999999999999999 + (0.3 - 0.8999999999999999 % 0.3) == 0.8999999999999999
+    spec = s1(Scheme.SO, alpha=0.3, entropy_bits=8)
+    deployed, attacker = _arena(spec, seed=1)
+    driver = attacker.attack_direct_duty_cycled(
+        deployed.servers[0],
+        on_fraction=0.5,
+        cycle_periods=0.3,
+        pool_id="server-tier",
+        rate=10.0,
+    )
+    assert driver.cycle_time == 0.3
+    deployed.start()
+    deployed.sim.run(until=3.5, max_events=20_000)
+    assert deployed.sim.now == 3.5  # not stalled inside the event budget
+    assert attacker.probes_sent_direct > 10
 
 
 def test_duty_cycle_validation():

@@ -7,7 +7,8 @@ service digest, so its bytes are part of the behaviour contract:
   (or the error) of a fixed corpus, captured from the one-pass emitter
   encoder that preceded the piecewise one;
 * a hypothesis property compares the encoder with a copy of that
-  emitter encoder, kept below as the oracle;
+  emitter encoder, kept below as the oracle, and fixed cases repeat
+  key sets the way signed payloads do;
 * ``verify_oversigned``, which encodes the inner payload once for both
   layers, agrees with two separate ``verify`` calls.
 
@@ -270,6 +271,40 @@ def test_encoder_matches_emitter_oracle(value):
         assert str(raised.value) == str(expected)
     else:
         assert canonical_bytes(value) == want
+
+
+# ----------------------------------------------------------------------
+# Maps of exact-str keys reuse a remembered key order
+# ----------------------------------------------------------------------
+#: Each case lists maps in encoding order: a later map may meet the key
+#: order an earlier one left behind, and must still match the oracle.
+REPEATED_KEY_SETS = {
+    # Equal and equally hashed keys, one of them a str subclass.
+    "str_subclass_after_plain": [
+        {"x": 1, "y": 2},
+        {Label("x"): 1, "y": 2},
+        {"x": 1, Label("y"): 2},
+        {"x": Label("v"), "y": 2},
+    ],
+    # repr order differs from str order: repr("a'") opens with '"'.
+    "quotes_and_bang": [
+        {"a": 1, "a!": 2, "a'": 3, 'a"': 4, "it's": 5, "!": 6},
+        {"!": 6, "it's": 5, 'a"': 4, "a'": 3, "a!": 2, "a": 1},
+    ],
+    "prefixes": [
+        {"ab": 1, "a": 2, "abc": 3, "": 4, "b": 5},
+        {"a": {"ab": 1, "a": 2}, "ab": {"a": 2, "ab": 1}},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEY_SETS))
+def test_repeated_key_sets_encode_like_the_oracle(name):
+    for _ in range(2):  # the second pass meets only remembered key sets
+        for value in REPEATED_KEY_SETS[name]:
+            assert canonical_bytes(value) == oracle_bytes(value)
+            nested = [value, {"inner": value}]
+            assert canonical_bytes(nested) == oracle_bytes(nested)
 
 
 # ----------------------------------------------------------------------

@@ -138,9 +138,15 @@ def test_sink_requires_membership():
         conn.attach_sink("zz", shell)
 
 
-def test_connections_of_tracks_open_connections():
+def test_the_endpoint_tables_track_open_connections():
+    """Each end's table holds a connection while it is open; a close or
+    a crash of either end removes it from both."""
     sim, net, a, b = make_pair()
     conn = net.connect("a", "b")
-    assert conn in net.connections_of("a")
+    assert conn in net._connections["a"] and conn in net._connections["b"]
     conn.close(closed_by="a")
-    assert conn not in net.connections_of("a")
+    assert conn not in net._connections["a"] and conn not in net._connections["b"]
+    again = net.connect("a", "b")
+    b.crash()
+    assert not again.open
+    assert not net._connections["a"] and not net._connections["b"]

@@ -4,9 +4,10 @@
 repetition of every workload for seeds 0-9, but a benchmark run checks
 them only at full scale, and the benchmark's self-test runs at tiny
 scale, where none are recorded.  This test runs repetition 0 of seed 0
-of each workload through the benchmark's own ``campaigns`` module
-(imported, not copied) in one process, and compares its digest with the
-recorded one.  Digests do not depend on the worker count.
+of each workload, and of seeds 1 and 2 of ``stress-precision``, through
+the benchmark's own ``campaigns`` module (imported, not copied) in one
+process, and compares its digest with the recorded one.  Digests do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -31,11 +32,22 @@ def _load_campaigns():
 campaigns = _load_campaigns()
 
 
+def _check_recorded_digest(name, seed, monkeypatch):
+    monkeypatch.setattr(campaigns, "WORKERS", 1)
+    recorded = campaigns.recorded_digest(name, seed, "full")
+    assert recorded is not None, f"digests.json records no seed {seed} for {name}"
+    workload = campaigns.workloads()[name]
+    result = workload.run(campaigns.root_seed(name, seed, 0), None)
+    assert campaigns.outcome_digest(result) == recorded
+
+
 @pytest.mark.parametrize("name", sorted(campaigns.workloads()))
 def test_seed_zero_reproduces_the_recorded_digest(name, monkeypatch):
-    monkeypatch.setattr(campaigns, "WORKERS", 1)
-    recorded = campaigns.recorded_digest(name, 0, "full")
-    assert recorded is not None, f"digests.json records no seed 0 for {name}"
-    workload = campaigns.workloads()[name]
-    result = workload.run(campaigns.root_seed(name, 0, 0), None)
-    assert campaigns.outcome_digest(result) == recorded
+    _check_recorded_digest(name, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stress_precision_reproduces_its_recorded_digest(seed, monkeypatch):
+    """The heaviest handler path (faults, PB/SMR traffic, stealth probes)
+    is pinned on two more seeds."""
+    _check_recorded_digest("stress-precision", seed, monkeypatch)
