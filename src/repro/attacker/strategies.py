@@ -104,7 +104,7 @@ class DutyCycledProbeDriver(ProbeDriver):
             # rounds back to ``now`` and the stream would wake at the
             # same instant forever; the next float lies past that start.
             wake = now + (self.cycle_time - phase)
-            sim.schedule_at_fast(
+            sim.schedule_at(
                 wake if wake > now else math.nextafter(now, math.inf), self._refire
             )
             return

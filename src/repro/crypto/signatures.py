@@ -254,8 +254,7 @@ class SignatureAuthority:
         modelling compromise).
         """
         key = private if private is not None else self.private_key_of(owner)
-        # tag(), inlined; positional fields (a keyword call costs more).
-        return Signed(payload, owner, _digest(key, _text(payload)))
+        return Signed(payload=payload, signer=owner, signature=self.tag(key, payload))
 
     def _check(self, signer: str, text: str, signature: str) -> bool:
         """Whether ``signature`` is ``signer``'s registered tag of the

@@ -33,7 +33,7 @@ legal, not operator error):
 Fault applies and expiries are fire-and-forget — nothing ever cancels
 them — so no :class:`~repro.sim.engine.Event` handle is made for them:
 applies are pushed at their absolute times through
-:meth:`~repro.sim.engine.Simulator.schedule_at_fast`, expiries after
+:meth:`~repro.sim.engine.Simulator.schedule_at`, expiries after
 their durations through :meth:`~repro.sim.engine.Simulator.schedule_fast`.
 A whole plan is pushed when it is scheduled, and it is validated first
 (sorted, inside the horizon, rates in range) instead of failing mid-run
@@ -175,9 +175,8 @@ class FaultInjector:
         event is scheduled.
         """
         validate_plan(plan, now=self.sim.now, horizon=horizon)
-        push, apply = self.sim.schedule_at_fast, self._apply
         for fault in plan:
-            push(fault.time, apply, fault)
+            self.sim.schedule_at(fault.time, self._apply, fault)
 
     def schedule(self, fault: FaultEvent) -> None:
         """Validate and schedule one fault event."""
@@ -186,7 +185,7 @@ class FaultInjector:
                 f"fault at t={fault.time} is in the past (now={self.sim.now})"
             )
         _validate_event(fault)
-        self.sim.schedule_at_fast(fault.time, self._apply, fault)
+        self.sim.schedule_at(fault.time, self._apply, fault)
 
     # ------------------------------------------------------------------
     def _apply(self, fault: FaultEvent) -> None:

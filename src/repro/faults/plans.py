@@ -37,21 +37,15 @@ def crash_storm(
         raise ConfigurationError("need positive rate and horizon > start")
     plan: list[FaultEvent] = []
     pool = list(targets)
-    low, high = outage_range
-    # Bound once; the draws and their order are those of the stream's
-    # own methods: gap, outage coin, outage length, target.
-    expovariate, coin, uniform, choice = (
-        rng.expovariate, rng.random, rng.uniform, rng.choice
-    )
     t = start
     while True:
-        t += expovariate(rate)
+        t += rng.expovariate(rate)
         if t >= horizon:
             break
         down_for = None
-        if coin() < outage_probability:
-            down_for = uniform(low, high)
-        plan.append(CrashFault(t, choice(pool), down_for))
+        if rng.random() < outage_probability:
+            down_for = rng.uniform(*outage_range)
+        plan.append(CrashFault(time=t, target=rng.choice(pool), down_for=down_for))
     return plan
 
 

@@ -33,7 +33,7 @@ heartbeat and request rate.  They test primariness inline (the
 from a module constant.  Proxies multicast every request to the whole
 tier, so a backup drops a request before it reads the payload.  The
 heartbeat chain resumes at its grid point through the kernel's no-handle
-:meth:`~repro.sim.engine.Simulator.schedule_at_fast`.
+:meth:`~repro.sim.engine.Simulator.schedule_at`.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class PBServer(RandomizedProcess):
         self._hb_scheduled = True
         # An absolute time: the grid point must be hit exactly (now +
         # (nxt - now) could differ from nxt in the last ulp).
-        self.sim.schedule_at_fast(nxt, self._heartbeat_tick)
+        self.sim.schedule_at(nxt, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
         peers = self.peers

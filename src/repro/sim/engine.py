@@ -16,10 +16,9 @@ here, so single-run campaign throughput is bounded by this file):
   Python-level entry-recycling pool (which was tried and removed), and
   no rich Python object is allocated per event;
 * :meth:`Simulator.schedule_fast` (relative delay) and
-  :meth:`Simulator.schedule_at_fast` (absolute time) are no-handle
-  variants for the many call sites that never cancel (message delivery,
-  probe pacing, respawns, fault plans): no :class:`Event` handle is
-  allocated at all;
+  :meth:`Simulator.schedule_at` (absolute time) serve the many call
+  sites that never cancel (message delivery, probe pacing, respawns,
+  fault plans): no :class:`Event` handle is allocated at all;
 * :meth:`Simulator.run` pops the heap inline instead of peeking through
   a helper and re-popping in :meth:`Simulator.step`: it pops first and
   pushes back the one entry that lies past ``until`` (or past the event
@@ -149,30 +148,17 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return Event(self, self._push(self.now + delay, fn, args))
 
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self.now}"
-            )
-        return Event(self, self._push(time, fn, args))
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute simulated ``time``.
 
-    def schedule_at_fast(
-        self, time: float, fn: Callable[..., None], *args: Any
-    ) -> None:
-        """No-handle variant of :meth:`schedule_at`: schedule ``fn(*args)``
-        at absolute simulated ``time`` without allocating an :class:`Event`.
-
-        It pushes the same ``[time, seq, fn, args]`` entry
-        :meth:`schedule_at` does, for callers that never cancel (fault
-        plans, heartbeat grid points).
+        No :class:`Event` handle is made: every caller (fault plans,
+        heartbeat grid points, duty-cycle wake-ups) is fire-and-forget.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, [time, seq, fn, args])
+        self._push(time, fn, args)
 
     def schedule_fast(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """No-handle fast path: schedule ``fn(*args)`` ``delay`` from now.

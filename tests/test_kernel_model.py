@@ -73,10 +73,10 @@ class Reference:
     def schedule_fast(self, delay: float, fn, *args) -> None:
         self.schedule(delay, fn, *args)
 
-    def schedule_at(self, time: float, fn, *args) -> _RefHandle:
+    def schedule_at(self, time: float, fn, *args) -> None:
         if time < self.now:
             raise SimulationError("past")
-        return _RefHandle(self, self._add(time, fn, args))
+        self._add(time, fn, args)
 
     def cancel_entry(self, entry: dict) -> None:
         if entry["state"] != "live":
@@ -161,10 +161,10 @@ class Runner:
     def apply(self, tag: int, op: tuple) -> object:
         name = op[0]
         s = self.s
-        if name in ("schedule", "schedule_at"):
-            method = s.schedule if name == "schedule" else s.schedule_at
-            when = op[1] if name == "schedule" else s.now + op[1]
-            self.handles.append(method(when, self.fire, tag, op[2]))
+        if name == "schedule":
+            self.handles.append(s.schedule(op[1], self.fire, tag, op[2]))
+        elif name == "schedule_at":
+            s.schedule_at(s.now + op[1], self.fire, tag, op[2])
         elif name == "schedule_fast":
             s.schedule_fast(op[1], self.fire, tag, op[2])
         elif name == "past":

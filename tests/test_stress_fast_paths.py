@@ -7,9 +7,8 @@
   and lossy fallback.
 * A primary-backup backup drops every request before reading it; only
   the primary executes requests and probes.
-* :meth:`Simulator.schedule_at_fast` pushes the entry ``schedule_at``
-  pushes, without a handle, and fault plans and the heartbeat grid use
-  it.
+* :meth:`Simulator.schedule_at` pushes its entry without a handle,
+  and fault plans and the heartbeat grid make no handle either.
 * The PB sync request goes to the configured peers.
 """
 
@@ -33,7 +32,8 @@ from repro.replication.primary_backup import (
     STATE_UPDATE,
     SYNC_REQUEST,
 )
-from repro.sim.engine import Event, Simulator
+from repro.sim import engine
+from repro.sim.engine import Simulator
 from repro.sim.process import ProcessState, SimProcess
 
 
@@ -269,31 +269,32 @@ def test_the_primary_still_executes_requests_and_probes(monkeypatch):
 # ----------------------------------------------------------------------
 # No-handle absolute-time pushes
 # ----------------------------------------------------------------------
-def test_schedule_at_fast_pushes_the_entry_schedule_at_pushes():
+def test_schedule_at_pushes_its_entry_without_a_handle():
     def noop(*args):
         pass
 
-    with_handle, without = Simulator(seed=0), Simulator(seed=0)
-    for sim in (with_handle, without):
-        sim.schedule_fast(0.5, noop)
-        sim.run(until=0.5)
-    event = with_handle.schedule_at(2.5, noop, "x", 1)
-    assert isinstance(event, Event)
-    assert without.schedule_at_fast(2.5, noop, "x", 1) is None
-    assert with_handle._heap == without._heap == [[2.5, 2, noop, ("x", 1)]]
+    sim = Simulator(seed=0)
+    sim.schedule_fast(0.5, noop)
+    sim.run(until=0.5)
+    assert sim.schedule_at(2.5, noop, "x", 1) is None
+    assert sim._heap == [[2.5, 2, noop, ("x", 1)]]
     with pytest.raises(SimulationError, match="before current time"):
-        without.schedule_at_fast(0.25, noop)
-    assert without.pending_events == 1
+        sim.schedule_at(0.25, noop)
+    assert sim.pending_events == 1
 
 
 def test_fault_plans_push_no_handles(monkeypatch):
     deployed, primary, backup = _pb_tier()
     sim = deployed.sim
 
-    def no_handles(*args, **kwargs):
-        raise AssertionError("schedule_at allocates a handle nobody keeps")
+    handled = []  # the callbacks that got an Event handle
+    make_event = engine.Event
 
-    monkeypatch.setattr(Simulator, "schedule_at", no_handles)
+    def recording_event(sim, entry):
+        handled.append(entry[2].__name__)
+        return make_event(sim, entry)
+
+    monkeypatch.setattr(engine, "Event", recording_event)
     injector = FaultInjector(sim, deployed.network)
     injector.schedule_plan(
         [
@@ -309,6 +310,7 @@ def test_fault_plans_push_no_handles(monkeypatch):
     # started at its grid point without a handle either.
     leader = deployed.network.process(backup.primary_name)
     assert backup.view >= 1 and leader is not primary and leader._hb_scheduled
+    assert handled and not {"_apply", "_heartbeat_tick"} & set(handled)
 
 
 def test_the_pb_sync_request_goes_to_the_configured_peers(monkeypatch):
